@@ -45,7 +45,6 @@ from .solve import (
     comparison_check,
     exterior_data,
     minimize,
-    residual_norm,
 )
 from .spaces import (
     EmbeddingReport,

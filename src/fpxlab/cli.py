@@ -55,7 +55,6 @@ def _load_run(args):
     config = parse_config(args.config)
     if args.seed is not None:
         config.solve.seed = args.seed
-        config.seed = args.seed
     grid = config.solve.build_grid()
     field = config.solve.build_field()
     return config, grid, field
@@ -64,7 +63,7 @@ def _load_run(args):
 def _cmd_solve(args) -> int:
     config, grid, field = _load_run(args)
     out = _out_dir(args)
-    g = exterior_data(config.solve.exterior, grid, config.seed)
+    g = exterior_data(config.solve.exterior, grid, config.solve.seed)
     try:
         result = minimize(config.solve, grid=grid, field=field, g=g)
     except NonConvergenceError as err:

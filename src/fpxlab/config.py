@@ -42,7 +42,6 @@ class DiagnosticsSpec:
 class RunConfig:
     solve: SolveConfig
     diagnostics: DiagnosticsSpec
-    seed: int = 0
 
 
 _GRID_KEYS = {"dim", "center", "halfwidth", "r_trunc", "nodes_per_axis"}
@@ -119,6 +118,8 @@ def parse_text(text: str) -> RunConfig:
     table = _get(sections, "field", "table", str, None, problems)
     if preset == "tabulated" and table is None:
         problems.append({"field": "field.table", "message": "required for the tabulated preset"})
+    if preset == "tabulated" and dim == 2:
+        problems.append({"field": "field.preset", "message": "tabulated exponents are 1-D only"})
 
     s = _get(sections, "problem", "s", float, 0.5, problems, lambda v: 0 < v < 1, "must lie in (0, 1)")
     sigma = _get(sections, "problem", "sigma", float, 0.25, problems, lambda v: 0 < v, "must be positive")
@@ -176,7 +177,7 @@ def parse_text(text: str) -> RunConfig:
         center=diag_center, radius=radius, inner_factor=inner_factor, levels=levels,
         dyadic_levels=dyadic, scales=scales, gamma=gamma, delta=delta,
     )
-    return RunConfig(solve=solve, diagnostics=diagnostics, seed=seed)
+    return RunConfig(solve=solve, diagnostics=diagnostics)
 
 
 def parse_config(path) -> RunConfig:

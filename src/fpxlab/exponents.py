@@ -149,6 +149,8 @@ class ExponentField:
         return 1.5 + 0.5 * (cx * slow_modulus(ny) + cy * slow_modulus(nx))
 
     def _eval_tabulated(self, x, y):
+        if x.shape[-1] != 1 or y.shape[-1] != 1:
+            raise ValueError("tabulated exponents are defined on 1-D points only")
         xs = self.params["xs"]
         table = self.params["table"]
         tol = self.params["tol"]
@@ -327,7 +329,7 @@ def _default_balls(grid, radii, centers):
     radii = [float(r) for r in radii]
     balls = []
     for c in centers:
-        room = float(np.min(grid.halfwidths - np.abs(c - grid.center)))
+        room = grid.room(c)
         for r in radii:
             if r < room:  # closure of the ball must stay inside the domain
                 balls.append((c, r))
@@ -348,7 +350,9 @@ def check_interior_oscillation(
 
     A finite sample cannot certify a supremum, so the estimate is recomputed
     on lattices refined twice; the check passes when the largest estimate
-    grew by at most ``growth_factor`` per refinement.
+    grew by at most ``growth_factor`` per refinement.  The coarsest lattice
+    has spacing min(h, R/2), so even a ball narrower than the grid spacing
+    is sampled beyond its center.
     """
     balls = _default_balls(grid, radii, centers)
     rows = []
@@ -357,7 +361,7 @@ def check_interior_oscillation(
     for center, radius in balls:
         estimates = []
         for level in range(refinements + 1):
-            pts = _ball_lattice(center, radius, grid.h / 2**level)
+            pts = _ball_lattice(center, radius, min(grid.h, radius / 2) / 2**level)
             ext = extrema_over_product(field, pts, pts)
             estimates.append(radius ** (ext.p_minus - ext.p_plus))
             rows.append(

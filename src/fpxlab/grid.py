@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Grid", "GridGeometryError", "build_grid", "ball_mask", "box_mask",
-           "read_grid_function", "write_grid_function"]
+           "read_grid_function", "write_grid_function", "SPHERE_MEASURE"]
+
+SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi}  # |S^(dim-1)|
 
 
 class GridGeometryError(ValueError):
@@ -54,6 +56,11 @@ class Grid:
 
     def domain_measure(self) -> float:
         return float(np.count_nonzero(self.interior)) * self.measure
+
+    def room(self, x0) -> float:
+        """Max-norm distance from x0 to the domain boundary; B_r(x0) has its closure inside iff r < room."""
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        return float(np.min(self.halfwidths - np.abs(x0 - self.center)))
 
 
 def build_grid(dim: int, center, halfwidths, r_trunc: float, nodes_per_axis: int) -> Grid:
@@ -111,13 +118,9 @@ def build_grid(dim: int, center, halfwidths, r_trunc: float, nodes_per_axis: int
     )
 
 
-def ball_mask(grid: Grid, x0, radius: float, require_inside: bool = False) -> np.ndarray:
+def ball_mask(grid: Grid, x0, radius: float) -> np.ndarray:
     """Boolean node mask of the closed ball B_radius(x0)."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if require_inside:
-        room = np.min(grid.halfwidths - np.abs(x0 - grid.center))
-        if not radius < room:
-            raise GridGeometryError("ball closure must be contained in the domain")
     dist = np.sqrt(np.sum((grid.nodes - x0) ** 2, axis=1))
     return dist <= radius * (1 + 1e-12) + 1e-15
 

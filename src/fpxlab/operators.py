@@ -22,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridGeometryError, ball_mask
+from .grid import SPHERE_MEASURE, Grid, GridGeometryError, ball_mask
 
 __all__ = ["PairKernel", "TailReport", "tail"]
-
-_SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi}  # |S^(dim-1)|
 
 
 def _signed_power(delta: np.ndarray, expo: np.ndarray) -> np.ndarray:
@@ -88,12 +86,10 @@ class PairKernel:
         return float(np.sum(self.coeff[i] * _signed_power(d, self.pmat[i]))) / self.grid.measure
 
     def weak_residual(self, u: np.ndarray, phi: np.ndarray) -> float:
-        """Bilinear pairing E(u, phi) for phi vanishing off the interior."""
+        """Bilinear pairing E(u, phi) = gradient(u) . phi for phi vanishing off the interior."""
         if np.any(np.abs(phi[self.grid.exterior]) > 0):
             raise ValueError("test function must vanish on non-interior nodes")
-        d = np.subtract.outer(u, u)
-        dphi = np.subtract.outer(phi, phi)
-        return float(np.sum(self.coeff * _signed_power(d, self.pmat) * dphi))
+        return float(self.gradient(u) @ phi)
 
     def residual_norm(self, u: np.ndarray) -> float:
         """max over interior nodes of |m_k L(u)_k| (weighted nodal residual)."""
@@ -125,8 +121,7 @@ def tail(grid: Grid, field, s: float, u: np.ndarray, x0, radius: float,
     truncation dropped, valid for data bounded by max |u| on the collar.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    room = np.min(grid.halfwidths - np.abs(x0 - grid.center))
-    if not radius < room:
+    if not radius < grid.room(x0):
         raise GridGeometryError("tail ball must be contained in the domain")
     if sign not in ("plus", "minus", "abs"):
         raise ValueError("sign must be plus, minus, or abs")
@@ -137,28 +132,15 @@ def tail(grid: Grid, field, s: float, u: np.ndarray, x0, radius: float,
     else:
         uy = np.abs(u)
 
-    dist0 = np.sqrt(np.sum((grid.nodes - x0) ** 2, axis=1))
-    frac = np.clip((dist0 - radius) / grid.h + 0.5, 0.0, 1.0)
-    weights = grid.measure * frac  # radial cell fraction outside the sphere
-    ysel = weights > 0
-
     sup_r = radius if sup_radius is None else float(sup_radius)
-    xsel = ball_mask(grid, x0, sup_r)
-    if not np.any(xsel):
-        raise GridGeometryError("no grid nodes inside the supremum ball")
-
-    xs = grid.nodes[xsel]
-    ys = grid.nodes[ysel]
-    pxy = np.asarray(field.eval(xs[:, None, :], ys[None, :, :]))
-    core = uy[ysel][None, :] ** (pxy - 1.0) / dist0[ysel][None, :] ** (grid.dim + s * pxy)
-    sums = core @ weights[ysel]
+    xs, sums = _tail_sums(grid, field, s, uy, x0, radius, sup_r)
     k = int(np.argmax(sums))
 
     # dropped mass beyond the outermost kept cells, for collar-bounded data
     trunc_r = float(np.min(grid.r_trunc - np.abs(x0 - grid.center)) + grid.h / 2)
     m = float(np.max(uy[grid.exterior])) if np.any(grid.exterior) else 0.0
     mpow = max(m ** (field.p_min - 1.0), m ** (field.p_max - 1.0))
-    surf = _SPHERE_MEASURE[grid.dim]
+    surf = SPHERE_MEASURE[grid.dim]
     if trunc_r >= 1.0:
         remainder = mpow * surf * trunc_r ** (-s * field.p_min) / (s * field.p_min)
     else:  # split at r = 1 where the worst kernel exponent switches
@@ -174,3 +156,26 @@ def tail(grid: Grid, field, s: float, u: np.ndarray, x0, radius: float,
         remainder_bound=float(remainder),
         sign=sign,
     )
+
+
+def _tail_sums(grid: Grid, field, s: float, uy: np.ndarray, x0: np.ndarray, radius: float,
+               sup_radius: float, reach: float = 1.0):
+    """The nodes x of B_sup_radius(x0) and their sums in :func:`tail`'s quadrature.
+
+    Every distance |y - x0| is divided by ``reach``; the recentred far
+    kernel of the level-set estimate uses reach > 1.
+    """
+    dist0 = np.sqrt(np.sum((grid.nodes - x0) ** 2, axis=1))
+    frac = np.clip((dist0 - radius) / grid.h + 0.5, 0.0, 1.0)
+    weights = grid.measure * frac  # radial cell fraction outside the sphere
+    ysel = weights > 0
+
+    xsel = ball_mask(grid, x0, sup_radius)
+    if not np.any(xsel):
+        raise GridGeometryError("no grid nodes inside the supremum ball")
+
+    xs = grid.nodes[xsel]
+    ys = grid.nodes[ysel]
+    pxy = np.asarray(field.eval(xs[:, None, :], ys[None, :, :]))
+    core = uy[ysel][None, :] ** (pxy - 1.0) / (dist0[ysel][None, :] / reach) ** (grid.dim + s * pxy)
+    return xs, core @ weights[ysel]

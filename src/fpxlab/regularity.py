@@ -25,7 +25,8 @@ import numpy as np
 
 from .exponents import ExponentField, extrema_over_product
 from .grid import Grid, GridGeometryError, ball_mask
-from .operators import PairKernel, tail
+from .operators import PairKernel, _tail_sums, tail
+from .spaces import region_pair_terms
 
 __all__ = [
     "truncate_level",
@@ -153,8 +154,7 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not 0.0 < r < R:
         raise GridGeometryError("need 0 < r < R")
-    room = np.min(grid.halfwidths - np.abs(x0 - grid.center))
-    if not R < room:
+    if not R < grid.room(x0):
         raise GridGeometryError("outer ball must be contained in the domain")
     kernel = PairKernel(grid, field, s) if kernel is None else kernel
 
@@ -162,7 +162,6 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     w_minus = truncate_level(u, k, "minus")
     inner = ball_mask(grid, x0, r)
     outer = ball_mask(grid, x0, R)
-    mid = ball_mask(grid, x0, (R + r) / 2.0)
 
     pm = kernel.pmat
     adm = kernel.admissible
@@ -183,19 +182,9 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     wr = (w_plus[outer] / (R - r))[:, None] ** pm[both]
     rhs_local = float(grid.measure**2 * np.sum(np.where(adm[both], wr * flat_kern, 0.0)))
 
-    # far factor: every node outside B_R, radial cell fraction at the sphere
-    dist0 = np.sqrt(np.sum((grid.nodes - x0) ** 2, axis=1))
-    frac = np.clip((dist0 - R) / grid.h + 0.5, 0.0, 1.0)
-    ysel = frac > 0
-    xs = grid.nodes[mid]
-    ys = grid.nodes[ysel]
-    pxy = np.asarray(field.eval(xs[:, None, :], ys[None, :, :]))
-    expo = grid.dim + s * pxy
-    far = (w_plus[ysel][None, :] ** (pxy - 1.0)
-           * (2.0 * R / (R - r)) ** expo
-           / dist0[ysel][None, :] ** expo)
-    tail_factor = float(np.max(far @ (grid.measure * frac[ysel])))
-    rhs_tail = tail_factor * float(grid.measure * np.sum(w_plus[outer]))
+    # far factor: the tail of w_+ beyond B_R, sup over B_((R+r)/2)
+    _, far = _tail_sums(grid, field, s, w_plus, x0, R, (R + r) / 2.0, reach=2.0 * R / (R - r))
+    rhs_tail = float(np.max(far)) * float(grid.measure * np.sum(w_plus[outer]))
 
     ext = extrema_over_product(field, grid.nodes[outer], grid.nodes[outer])
     p_minus, p_plus = ext.p_minus, ext.p_plus
@@ -203,6 +192,7 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     c_explicit = max(2.0**p_plus * algebraic_constant(p_minus, p_plus), 2.0) / c_branch
 
     # residual pairing with the proof's own test function
+    dist0 = np.sqrt(np.sum((grid.nodes - x0) ** 2, axis=1))
     eta = np.clip(((R + r) / 2.0 - dist0) / ((R - r) / 2.0), 0.0, 1.0)
     phi = w_plus * eta**p_plus
     phi[~grid.interior] = 0.0
@@ -346,8 +336,7 @@ def sup_bound_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid, x
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not 0.0 < sigma < s < 1.0:
         raise ValueError("need 0 < sigma < s < 1")
-    room = float(np.min(grid.halfwidths - np.abs(x0 - grid.center)))
-    r_start = 0.95 * room if radius is None else float(radius)
+    r_start = 0.95 * grid.room(x0) if radius is None else float(radius)
 
     chosen = None
     for t in range(16):
@@ -435,6 +424,63 @@ class GrowthReport:
     p_plus: float
 
 
+def _growth_checks(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
+                   x0, R: float, H: float, gamma: float, sigma: float):
+    """Growth-lemma checks as a function of delta.
+
+    Only the scale and tail-bound hypotheses and the conclusion depend on
+    delta; everything else is computed here once.  Returns the map
+    delta -> (hypotheses, conclusion) and the ball exponents p_-, p_+.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if not R < grid.room(x0):
+        raise GridGeometryError("scenario ball must be contained in the domain")
+
+    b_full = ball_mask(grid, x0, R)
+    b_half = ball_mask(grid, x0, R / 2.0)
+    ext = extrema_over_product(field, grid.nodes[b_full], grid.nodes[b_full])
+    p_minus, p_plus = ext.p_minus, ext.p_plus
+
+    checks = {}
+    tol = 1e-12
+    umin, umax = float(np.min(u[b_full])), float(np.max(u[b_full]))
+    checks["range"] = (umin >= -tol and umax <= 2.0 * H + tol, {"min": umin, "max": umax, "cap": 2.0 * H})
+    frac = float(np.count_nonzero(u[b_half] >= H) / np.count_nonzero(b_half))
+    checks["mass_fraction"] = (frac >= gamma - tol, {"fraction": frac, "gamma": gamma})
+    spread = H ** (p_plus - p_minus)
+    checks["exponent_spread"] = (spread <= 2.0 + tol, {"value": spread})
+    if sigma * p_minus < grid.dim:
+        p_star = grid.dim * p_minus / (grid.dim - sigma * p_minus)
+        checks["subcritical"] = (p_plus < p_star, {"p_plus": p_plus, "p_star": p_star})
+    else:
+        checks["subcritical"] = (False, {"p_plus": p_plus, "p_star": math.inf})
+    t_value = tail(grid, field, s, u, x0, R, "minus", sup_radius=0.75 * R).value
+    quarter_min = float(np.min(u[ball_mask(grid, x0, R / 4.0)]))
+
+    def at(delta: float):
+        with_delta = dict(checks)
+        with_delta["scale"] = (R**s <= delta * H + tol, {"value": R**s, "bound": delta * H})
+        t_bound = R ** (-s * p_plus) * (delta * H) ** (p_plus - 1.0) \
+            + R ** (-s * p_minus) * (delta * H) ** (p_minus - 1.0)
+        with_delta["tail"] = (t_value <= t_bound + tol, {"value": t_value, "bound": t_bound})
+        return with_delta, quarter_min >= delta * H - tol
+
+    return at, p_minus, p_plus
+
+
+def _growth_report(scenario: GrowthScenario, at, p_minus: float, p_plus: float) -> GrowthReport:
+    checks, conclusion = at(scenario.delta)
+    return GrowthReport(
+        scenario=scenario,
+        hypotheses={k: {"ok": ok, **info} for k, (ok, info) in checks.items()},
+        hypotheses_met=all(ok for ok, _ in checks.values()),
+        conclusion_holds=bool(conclusion),
+        failed=[k for k, (ok, _) in checks.items() if not ok],
+        p_minus=float(p_minus),
+        p_plus=float(p_plus),
+    )
+
+
 def growth_lemma_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
                        scenario: GrowthScenario) -> GrowthReport:
     """Verify growth-lemma hypotheses on the grid and test its conclusion.
@@ -445,98 +491,53 @@ def growth_lemma_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     conclusion min u >= delta H over B_(R/4) is asserted; otherwise the
     failing hypotheses are reported and nothing is claimed.
     """
-    x0 = np.asarray(scenario.x0, dtype=float)
-    R = scenario.radius
-    H = scenario.H
-    delta = scenario.delta
-    room = float(np.min(grid.halfwidths - np.abs(x0 - grid.center)))
-    if not R < room:
-        raise GridGeometryError("scenario ball must be contained in the domain")
+    at, p_minus, p_plus = _growth_checks(u, field, s, grid, scenario.x0, scenario.radius,
+                                         scenario.H, scenario.gamma, scenario.sigma)
+    return _growth_report(scenario, at, p_minus, p_plus)
 
-    b_full = ball_mask(grid, x0, R)
-    b_half = ball_mask(grid, x0, R / 2.0)
-    b_quarter = ball_mask(grid, x0, R / 4.0)
-    ext = extrema_over_product(field, grid.nodes[b_full], grid.nodes[b_full])
-    p_minus, p_plus = ext.p_minus, ext.p_plus
 
-    checks = {}
-    tol = 1e-12
-    umin, umax = float(np.min(u[b_full])), float(np.max(u[b_full]))
-    checks["range"] = (umin >= -tol and umax <= 2.0 * H + tol, {"min": umin, "max": umax, "cap": 2.0 * H})
-    frac = float(np.count_nonzero(u[b_half] >= H) / np.count_nonzero(b_half))
-    checks["mass_fraction"] = (frac >= scenario.gamma - tol, {"fraction": frac, "gamma": scenario.gamma})
-    spread = H ** (p_plus - p_minus)
-    checks["exponent_spread"] = (spread <= 2.0 + tol, {"value": spread})
-    if scenario.sigma * p_minus < grid.dim:
-        p_star = grid.dim * p_minus / (grid.dim - scenario.sigma * p_minus)
-        checks["subcritical"] = (p_plus < p_star, {"p_plus": p_plus, "p_star": p_star})
-    else:
-        checks["subcritical"] = (False, {"p_plus": p_plus, "p_star": math.inf})
-    checks["scale"] = (R**s <= delta * H + tol, {"value": R**s, "bound": delta * H})
-    t_rep = tail(grid, field, s, u, x0, R, "minus", sup_radius=0.75 * R)
-    t_bound = R ** (-s * p_plus) * (delta * H) ** (p_plus - 1.0) \
-        + R ** (-s * p_minus) * (delta * H) ** (p_minus - 1.0)
-    checks["tail"] = (t_rep.value <= t_bound + tol, {"value": t_rep.value, "bound": t_bound})
-
-    hypotheses_met = all(ok for ok, _ in checks.values())
-    conclusion = float(np.min(u[b_quarter])) >= delta * H - tol
-    return GrowthReport(
-        scenario=scenario,
-        hypotheses={k: {"ok": ok, **info} for k, (ok, info) in checks.items()},
-        hypotheses_met=bool(hypotheses_met),
-        conclusion_holds=bool(conclusion),
-        failed=[k for k, (ok, _) in checks.items() if not ok],
-        p_minus=float(p_minus),
-        p_plus=float(p_plus),
-    )
+_DELTA_BISECTION_STEPS = 40
 
 
 def calibrate_growth_delta(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
-                           x0, radius: float, sigma: float, q: float,
-                           bisection_steps: int = 40):
+                           x0, radius: float, sigma: float, q: float):
     """Find the largest positivity constant delta that the instance supports.
 
     H and gamma are measured from the data (H = sup u / 2 over the ball,
     gamma = the measured mass fraction at level H); delta is then located by
     scanning a dyadic ladder for feasibility and bisecting the upper
-    boundary of the feasible set inside (0, 1/8].
+    boundary of the feasible set inside (0, 1/8].  Returns delta (None when
+    the ladder finds no feasible value) and the growth report at delta, or
+    at the last ladder value when there is none.
     """
-    b_full = ball_mask(grid, np.atleast_1d(np.asarray(x0, float)), radius)
-    b_half = ball_mask(grid, np.atleast_1d(np.asarray(x0, float)), radius / 2.0)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    b_full = ball_mask(grid, x0, radius)
+    b_half = ball_mask(grid, x0, radius / 2.0)
     h_level = float(np.max(u[b_full])) / 2.0
     if h_level <= 0:
         raise ValueError("calibration needs a positive supremum on the ball")
     frac = float(np.count_nonzero(u[b_half] >= h_level) / np.count_nonzero(b_half))
     gamma = min(max(frac, 1e-6), 1.0 - 1e-6)
+    at, p_minus, p_plus = _growth_checks(u, field, s, grid, x0, radius, h_level, gamma, sigma)
 
-    def feasible(delta: float):
-        scenario = GrowthScenario(x0=tuple(np.atleast_1d(x0)), radius=radius, H=h_level,
-                                  delta=delta, gamma=gamma, s=s, sigma=sigma, q=q)
-        rep = growth_lemma_check(u, field, s, grid, scenario)
-        return (rep.hypotheses_met and rep.conclusion_holds), rep
+    def feasible(delta: float) -> bool:
+        checks, conclusion = at(delta)
+        return conclusion and all(ok for ok, _ in checks.values())
 
-    lo = None
-    for t in range(24):
-        delta = 0.125 * 0.5**t
-        ok, rep = feasible(delta)
-        if ok:
-            lo = delta
-            lo_rep = rep
-            break
-    if lo is None:
-        return None, rep
+    ladder = [0.125 * 0.5**t for t in range(24)]
+    lo = next((delta for delta in ladder if feasible(delta)), None)
     hi = 0.125
-    ok_hi, rep_hi = feasible(hi)
-    if ok_hi:
-        return hi, rep_hi
-    for _ in range(bisection_steps):
-        mid = 0.5 * (lo + hi)
-        ok, rep = feasible(mid)
-        if ok:
-            lo, lo_rep = mid, rep
-        else:
-            hi = mid
-    return lo, lo_rep
+    if lo is not None and lo < hi:  # 1/8 failed on the ladder
+        for _ in range(_DELTA_BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                lo = mid
+            else:
+                hi = mid
+    scenario = GrowthScenario(x0=tuple(x0), radius=radius, H=h_level,
+                              delta=ladder[-1] if lo is None else lo,
+                              gamma=gamma, s=s, sigma=sigma, q=q)
+    return lo, _growth_report(scenario, at, p_minus, p_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +575,8 @@ def sublevel_energy_check(u: np.ndarray, field: ExponentField, s: float, grid: G
     if not 1.0 <= q < ext.p_minus:
         raise ValueError("need 1 <= q < p_- on the ball")
 
-    v = truncate_level(u, level, "minus")
-    pts = grid.nodes[b_half]
-    vv = v[b_half]
-    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
-    off = dist > 0
-    with np.errstate(divide="ignore"):
-        kern = np.where(off, dist, 1.0) ** -(grid.dim + sigma * q)
-    lhs = float(grid.measure**2 * np.sum(
-        np.where(off, np.abs(vv[:, None] - vv[None, :]) ** q * kern, 0.0)))
+    terms, _ = region_pair_terms(truncate_level(u, level, "minus"), q, sigma, grid, b_half)
+    lhs = float(np.sum(terms))
 
     a_measure = float(np.count_nonzero(u[b_full] < level)) * grid.measure
     envelope = max(a_measure,
@@ -625,8 +619,7 @@ def holder_exponent_fit(u: np.ndarray, grid: Grid, x0, radius: float,
     is constant on the base ball.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    room = float(np.min(grid.halfwidths - np.abs(x0 - grid.center)))
-    if not radius < room:
+    if not radius < grid.room(x0):
         raise GridGeometryError("base ball must be contained in the domain")
     radii = []
     for j in range(j_max + 1):

@@ -32,7 +32,6 @@ __all__ = [
     "MaxPrincipleReport",
     "minimize",
     "descend",
-    "residual_norm",
     "comparison_check",
     "exterior_data",
 ]
@@ -235,11 +234,6 @@ def minimize(config: SolveConfig, grid: Grid | None = None,
             f"after {iters} iterations", result,
         )
     return result
-
-
-def residual_norm(u: np.ndarray, kernel: PairKernel) -> float:
-    """max over interior nodes of |m_i L(u)_i|."""
-    return kernel.residual_norm(u)
 
 
 @dataclass

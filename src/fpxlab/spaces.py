@@ -15,14 +15,13 @@ lambda -> modular(u / lambda) around 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .exponents import ExponentField, extrema_over_product
-from .grid import Grid
+from .grid import SPHERE_MEASURE, Grid
 
 __all__ = [
     "ModularResult",
@@ -31,6 +30,7 @@ __all__ = [
     "ModularDivergenceError",
     "lebesgue_modular",
     "luxemburg_norm",
+    "region_pair_terms",
     "gagliardo_modular",
     "sobolev_seminorm",
     "combined_modular",
@@ -40,9 +40,6 @@ __all__ = [
     "conjugate_exponent",
     "embedding_bound",
 ]
-
-_SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi}
-
 
 class ModularDivergenceError(RuntimeError):
     """The modular stayed above 1 for every sampled scaling."""
@@ -81,22 +78,30 @@ def lebesgue_modular(u: np.ndarray, pbar: np.ndarray, grid: Grid, region=None) -
     return ModularResult(float(value), "lebesgue")
 
 
-def gagliardo_modular(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
-                      region_a=None, region_b=None) -> ModularResult:
-    """Double region sum of |u_i - u_j|^p_ij / |x_i - x_j|^(dim + s p_ij)."""
+def region_pair_terms(u: np.ndarray, expo, order: float, grid: Grid, region_a=None, region_b=None):
+    """Terms m^2 |u_i - u_j|^e / |x_i - x_j|^(dim + order e) of a double region sum.
+
+    ``expo`` is an :class:`ExponentField`, giving e = p(x_i, x_j), or a
+    constant exponent.  Coincident pairs are left out.  Returns the terms and
+    their exponents; the double sum is the sum of the terms.
+    """
     mask_a = _region_mask(grid, region_a)
     mask_b = _region_mask(grid, mask_a if region_b is None else region_b)
     xa, xb = grid.nodes[mask_a], grid.nodes[mask_b]
-    ua, ub = u[mask_a], u[mask_b]
-    diff = xa[:, None, :] - xb[None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=-1))
+    dist = np.sqrt(np.sum((xa[:, None, :] - xb[None, :, :]) ** 2, axis=-1))
     off = dist > 0
-    p = np.asarray(field.eval(xa[:, None, :], xb[None, :, :]))
-    num = np.abs(ua[:, None] - ub[None, :]) ** p
-    with np.errstate(divide="ignore"):
-        kern = np.where(off, dist, 1.0) ** -(grid.dim + s * p)
-    value = grid.measure**2 * np.sum(np.where(off, num * kern, 0.0))
-    return ModularResult(float(value), "gagliardo")
+    if isinstance(expo, ExponentField):
+        expo = np.asarray(expo.eval(xa[:, None, :], xb[None, :, :]))[off]
+    du = np.abs(u[mask_a][:, None] - u[mask_b][None, :])[off]
+    terms = grid.measure**2 * du**expo * dist[off] ** -(grid.dim + order * expo)
+    return terms, expo
+
+
+def gagliardo_modular(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
+                      region_a=None, region_b=None) -> ModularResult:
+    """Double region sum of |u_i - u_j|^p_ij / |x_i - x_j|^(dim + s p_ij)."""
+    terms, _ = region_pair_terms(u, field, s, grid, region_a, region_b)
+    return ModularResult(float(np.sum(terms)), "gagliardo")
 
 
 def luxemburg_norm(modular: Callable[[float], float], tol: float = 1e-10,
@@ -155,10 +160,9 @@ def lebesgue_norm(u, pbar, grid, region=None, tol: float = 1e-10) -> NormResult:
 
 
 def sobolev_seminorm(u, field, s, grid, region=None, tol: float = 1e-10) -> NormResult:
-    mask = _region_mask(grid, region)
-    return luxemburg_norm(
-        lambda lam: gagliardo_modular(u / lam, field, s, grid, mask).value, tol
-    )
+    # the Gagliardo modular of u / lam is sum_ij t_ij lam^(-p_ij)
+    terms, p = region_pair_terms(u, field, s, grid, region)
+    return luxemburg_norm(lambda lam: float(np.sum(terms * lam**-p)), tol)
 
 
 def combined_modular(u, field, s, grid, region=None) -> ModularResult:
@@ -244,14 +248,8 @@ def embedding_bound(u, field, s, sigma, q, grid, region_small, region=None,
     if q < 1.0:
         raise ValueError("need q >= 1")
 
-    xa = grid.nodes[mask_small]
-    xb = pts
-    dist = np.sqrt(np.sum((xa[:, None, :] - xb[None, :, :]) ** 2, axis=-1))
-    off = dist > 0
-    num = np.abs(u[mask_small][:, None] - u[mask][None, :]) ** q
-    with np.errstate(divide="ignore"):
-        kern = np.where(off, dist, 1.0) ** -(grid.dim + sigma * q)
-    lhs = (grid.measure**2 * np.sum(np.where(off, num * kern, 0.0))) ** (1.0 / q)
+    terms, _ = region_pair_terms(u, q, sigma, grid, mask_small, mask)
+    lhs = float(np.sum(terms)) ** (1.0 / q)
 
     seminorm = sobolev_seminorm(u, field, s, grid, mask, tol).value
     a_measure = float(np.count_nonzero(mask_small)) * grid.measure
@@ -259,7 +257,7 @@ def embedding_bound(u, field, s, sigma, q, grid, region_small, region=None,
     e1 = (p_plus - q) / (p_plus * q)
     e2 = (p_minus - q) / (p_minus * q)
     base = a_measure * d**beta
-    kmass = (p_plus - q) * _SPHERE_MEASURE[grid.dim] / ((s - sigma) * p_plus * q)
+    kmass = (p_plus - q) * SPHERE_MEASURE[grid.dim] / ((s - sigma) * p_plus * q)
     c_explicit = 2.0 ** (1.0 / q) * max(kmass**e1, kmass**e2)
     envelope = max(base**e1, base**e2)
     rhs = c_explicit * envelope * seminorm

@@ -57,6 +57,12 @@ def test_parse_reports_all_problems():
     assert "problem.sigma" in fields  # sigma >= s is named explicitly
 
 
+def test_parse_rejects_2d_tabulated():
+    with pytest.raises(ConfigError) as err:
+        parse_text("[grid]\ndim = 2\n[field]\npreset = tabulated\ntable = field.csv\n")
+    assert [p["field"] for p in err.value.problems] == ["field.preset"]
+
+
 def test_parse_unknown_section():
     with pytest.raises(ConfigError) as err:
         parse_text("[mystery]\nkey = 1\n")

@@ -21,6 +21,12 @@ from fpxlab.grid import ball_mask, build_grid
 ALL_FIELDS = [constant_field(2.0), radial_field(), product_field()]
 
 
+@pytest.fixture(scope="module")
+def coarse_plane_grid():
+    """2-D grid with h = 0.2, twice the radius of the smallest default ball."""
+    return build_grid(2, (0.0, 0.0), (1.0, 1.0), 4.0, 41)
+
+
 def test_radial_profile_reference_values():
     # at separation e^-2 the inner branch gives 3 - min(1/2, 1)
     assert radial_profile(math.exp(-2)) == pytest.approx(2.5, abs=1e-14)
@@ -112,14 +118,16 @@ def test_interior_oscillation_constant(line_grid):
     assert all(row["l_estimate"] == pytest.approx(1.0, abs=1e-14) for row in rep.rows)
 
 
-def test_interior_oscillation_radial(line_grid):
-    rep = check_interior_oscillation(radial_field(), line_grid)
+@pytest.mark.parametrize("grid_name", ["line_grid", "coarse_plane_grid"])
+def test_interior_oscillation_radial(grid_name, request):
+    rep = check_interior_oscillation(radial_field(), request.getfixturevalue(grid_name))
     assert rep.passed
     assert np.isfinite(rep.l_estimate)
 
 
-def test_interior_oscillation_product(line_grid):
-    rep = check_interior_oscillation(product_field(), line_grid)
+@pytest.mark.parametrize("grid_name", ["line_grid", "coarse_plane_grid"])
+def test_interior_oscillation_product(grid_name, request):
+    rep = check_interior_oscillation(product_field(), request.getfixturevalue(grid_name))
     assert rep.passed
 
 
@@ -173,6 +181,13 @@ def test_tabulated_out_of_domain(line_grid):
     assert field.eval(0.05, -0.05) == 2.0
     with pytest.raises(OutOfDomainError):
         field.eval(3.0, 0.0)
+
+
+def test_tabulated_rejects_2d_points():
+    xs = np.linspace(-1.0, 1.0, 11)
+    field = tabulated_field(xs=xs, table=np.full((11, 11), 2.0))
+    with pytest.raises(ValueError, match="1-D"):
+        field.eval(np.array([0.0, 0.0]), np.array([0.0, 0.5]))
 
 
 def test_tabulated_rejects_asymmetric():

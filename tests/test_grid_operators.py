@@ -176,6 +176,17 @@ def test_weak_form_matches_operator_pairing(line_grid, rng):
     assert kern.weak_residual(u, phi) == pytest.approx(paired, rel=1e-12)
 
 
+def test_weak_residual_matches_pair_double_sum(line_grid, rng):
+    """The gradient pairing agrees with the defining sum over ordered pairs."""
+    kern = PairKernel(line_grid, radial_field(), 0.5)
+    u = rng.normal(size=line_grid.n_nodes)
+    phi = np.where(line_grid.interior, rng.normal(size=line_grid.n_nodes), 0.0)
+    d = np.subtract.outer(u, u)
+    terms = kern.coeff * np.sign(d) * np.abs(d) ** (kern.pmat - 1.0) * np.subtract.outer(phi, phi)
+    scale = np.sum(np.abs(terms))
+    assert kern.weak_residual(u, phi) == pytest.approx(np.sum(terms), rel=1e-12, abs=1e-14 * scale)
+
+
 def test_energy_gradient_matches_directional_derivative(line_grid, rng):
     kern = PairKernel(line_grid, radial_field(), 0.5)
     u = rng.normal(size=line_grid.n_nodes)

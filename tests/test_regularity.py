@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,6 +299,32 @@ def test_growth_variable_exponent_instance():
                                         cfg.sigma, cfg.q)
     assert delta is not None, rep.failed
     assert rep.hypotheses_met and rep.conclusion_holds
+
+
+@pytest.fixture(scope="module")
+def radial_growth_solution():
+    """The solved instance of test_growth_variable_exponent_instance."""
+    grid = build_grid(1, 0.0, 1.0, 4.0, 401)
+    field = radial_field()
+    cfg = SolveConfig(s=0.5, sigma=0.35, q=1.5, nodes_per_axis=401,
+                      field_kind="radial", exterior="sine:2", grad_tol=1e-8)
+    g = 6.0 + 2.0 * np.sin(2.0 * grid.nodes[:, 0])
+    result = minimize(cfg, grid=grid, field=field, g=g)
+    return grid, field, cfg, result
+
+
+@pytest.mark.parametrize("instance, radius", [("tall_solution", 0.5), ("radial_growth_solution", 0.1)])
+def test_growth_calibration_agrees_with_full_check(instance, radius, request):
+    grid, field, cfg, result = request.getfixturevalue(instance)
+    delta, rep = calibrate_growth_delta(result.u, field, cfg.s, grid, 0.0, radius, cfg.sigma, cfg.q)
+    assert delta is not None and rep.scenario.delta == delta
+    full = growth_lemma_check(result.u, field, cfg.s, grid, rep.scenario)
+    assert full.hypotheses == rep.hypotheses
+    assert (full.hypotheses_met, full.conclusion_holds) == (rep.hypotheses_met, rep.conclusion_holds)
+    if delta < 0.125:  # delta is the upper end of the feasible set
+        above = dataclasses.replace(rep.scenario, delta=delta * (1 + 1e-9))
+        over = growth_lemma_check(result.u, field, cfg.s, grid, above)
+        assert not (over.hypotheses_met and over.conclusion_holds)
 
 
 # -- sublevel energy ------------------------------------------------------------------

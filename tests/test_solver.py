@@ -10,7 +10,6 @@ from fpxlab.solve import (
     comparison_check,
     exterior_data,
     minimize,
-    residual_norm,
 )
 
 
@@ -119,14 +118,14 @@ def test_gradient_matches_finite_differences(rng):
 
 def test_residual_norm_values(line_grid, rng):
     kernel = PairKernel(line_grid, constant_field(2.0), 0.5)
-    assert residual_norm(np.full(line_grid.n_nodes, 1.5), kernel) == 0.0
-    assert residual_norm(rng.normal(size=line_grid.n_nodes), kernel) > 0.0
+    assert kernel.residual_norm(np.full(line_grid.n_nodes, 1.5)) == 0.0
+    assert kernel.residual_norm(rng.normal(size=line_grid.n_nodes)) > 0.0
 
 
 def test_solution_residual_below_tolerance(radial_solution):
     cfg, grid, field, result = radial_solution
     kernel = PairKernel(grid, field, cfg.s)
-    assert residual_norm(result.u, kernel) <= cfg.grad_tol
+    assert kernel.residual_norm(result.u) <= cfg.grad_tol
 
 
 def test_nonconvergence_carries_partial_result(line_grid):
