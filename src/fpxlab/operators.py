@@ -1,15 +1,16 @@
 """Discrete nonlocal energy, operator, weak form, and tail integrals.
 
-All pairwise sums share one precomputed :class:`PairKernel`: midpoint
-quadrature with uniform cell measures, the diagonal excluded (symmetric
-exclusion realises the principal value on a uniform lattice), pairs beyond
-the grid's interaction radius dropped, and pairs with both nodes exterior
-dropped (they are constant with respect to the interior unknowns).
+All pairwise sums share one precomputed :class:`PairKernel`, a list of the
+admissible unordered node pairs: midpoint quadrature with uniform cell
+measures, the diagonal excluded (symmetric exclusion realises the principal
+value on a uniform lattice), pairs beyond the grid's interaction radius
+dropped, and pairs with both nodes exterior dropped (they are constant with
+respect to the interior unknowns).
 
 With coefficients
     c_ij = m_i m_j / |x_i - x_j|^(dim + s p_ij),
 the energy reads
-    F(u) = sum_{admissible ordered pairs} c_ij |u_i - u_j|^(p_ij) / p_ij,
+    F(u) = 2 sum_{admissible unordered pairs} c_ij |u_i - u_j|^(p_ij) / p_ij,
 its partial derivative is dF/du_k = 2 m_k L(u)_k with the nodal operator
     L(u)_k = sum_j m_j |u_k - u_j|^(p_kj - 2) (u_k - u_j) / |x_k - x_j|^(dim + s p_kj),
 and the bilinear pairing E(u, phi) (defined with each unordered pair twice)
@@ -33,7 +34,11 @@ def _signed_power(delta: np.ndarray, expo: np.ndarray) -> np.ndarray:
 
 
 class PairKernel:
-    """Precomputed pairwise structure for one (grid, field, s) triple."""
+    """The admissible unordered pairs of one (grid, field, s) triple.
+
+    Pair k joins interior node ``i[k]`` to node ``j[k]`` at distance
+    ``dist[k]``, with exponent ``p[k]`` and coefficient ``coeff[k]``.
+    """
 
     def __init__(self, grid: Grid, field, s: float):
         if not 0.0 < s < 1.0:
@@ -42,38 +47,38 @@ class PairKernel:
         self.field = field
         self.s = float(s)
 
-        nodes = grid.nodes
-        diff = nodes[:, None, :] - nodes[None, :, :]
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
-        pmat = np.asarray(field.eval(nodes[:, None, :], nodes[None, :, :]))
-
-        n = grid.n_nodes
-        eye = np.eye(n, dtype=bool)
-        both_ext = grid.exterior[:, None] & grid.exterior[None, :]
-        admissible = (~eye) & (~both_ext) & (dist <= grid.interaction_radius * (1 + 1e-12))
-
-        with np.errstate(divide="ignore"):
-            kernel = np.where(admissible, dist, 1.0) ** -(grid.dim + self.s * pmat)
-        coeff = np.where(admissible, grid.measure**2 * kernel, 0.0)
-
-        self.pmat = pmat
-        self.dist = dist
-        self.admissible = admissible
-        self.coeff = coeff
-        self.pbar = np.asarray(field.diagonal(nodes))
+        # lattice offsets inside the interaction radius, added to the interior nodes
+        shape = (grid.nodes_per_axis,) * grid.dim
+        limit = grid.interaction_radius * (1 + 1e-12)
+        steps = np.arange(-int(limit / grid.h) - 1, int(limit / grid.h) + 2)
+        offsets = np.stack(np.meshgrid(*[steps] * grid.dim, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+        offsets = offsets[np.sum(offsets**2, axis=1) * grid.h**2 <= (limit * (1 + 1e-9)) ** 2]
+        inner = np.flatnonzero(grid.interior)
+        target = np.stack(np.unravel_index(inner, shape), axis=-1)[:, None, :] + offsets
+        inside = np.all((target >= 0) & (target < grid.nodes_per_axis), axis=-1)
+        i = np.broadcast_to(inner[:, None], inside.shape)[inside]
+        j = np.ravel_multi_index(tuple(target[inside].T), shape)
+        # a pair of interior nodes is kept once, from its lower index; i == j falls out too
+        keep = grid.exterior[j] | (i < j)
+        i, j = i[keep], j[keep]
+        dist = np.sqrt(np.sum((grid.nodes[i] - grid.nodes[j]) ** 2, axis=-1))
+        keep = dist <= limit
+        self.i, self.j, self.dist = i[keep], j[keep], dist[keep]
+        self.p = np.asarray(field.eval(grid.nodes[self.i], grid.nodes[self.j]), dtype=float)
+        self.coeff = grid.measure**2 * self.dist ** -(grid.dim + self.s * self.p)
 
     # -- energy and its gradient ---------------------------------------
 
     def energy(self, u: np.ndarray) -> float:
         """F(u): nonnegative, zero exactly for constant u."""
-        d = np.subtract.outer(u, u)
-        terms = self.coeff * np.abs(d) ** self.pmat / self.pmat
-        return float(terms.sum())
+        d = np.abs(u[self.i] - u[self.j])
+        return 2.0 * float(np.sum(self.coeff * d**self.p / self.p))
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """dF/du_k on every node (collar entries included)."""
-        d = np.subtract.outer(u, u)
-        return 2.0 * np.sum(self.coeff * _signed_power(d, self.pmat), axis=1)
+        flux = 2.0 * self.coeff * _signed_power(u[self.i] - u[self.j], self.p)
+        n = self.grid.n_nodes
+        return np.bincount(self.i, flux, n) - np.bincount(self.j, flux, n)
 
     def operator(self, u: np.ndarray) -> np.ndarray:
         """Nodal operator values L(u)_k; meaningful on interior nodes."""
@@ -82,8 +87,7 @@ class PairKernel:
     def operator_at(self, u: np.ndarray, i: int) -> float:
         if not self.grid.interior[i]:
             raise ValueError("operator is evaluated at interior nodes")
-        d = u[i] - u
-        return float(np.sum(self.coeff[i] * _signed_power(d, self.pmat[i]))) / self.grid.measure
+        return float(self.operator(u)[i])
 
     def weak_residual(self, u: np.ndarray, phi: np.ndarray) -> float:
         """Bilinear pairing E(u, phi) = gradient(u) . phi for phi vanishing off the interior."""

@@ -163,24 +163,22 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     inner = ball_mask(grid, x0, r)
     outer = ball_mask(grid, x0, R)
 
-    pm = kernel.pmat
-    adm = kernel.admissible
-    coeff = kernel.coeff
-    dist = kernel.dist
+    i, j, p, coeff = kernel.i, kernel.j, kernel.p, kernel.coeff
 
-    sub = np.ix_(inner, inner)
-    dw = np.subtract.outer(w_plus, w_plus)
-    lhs_modular = float(np.sum(coeff[sub] * np.abs(dw[sub]) ** pm[sub]))
+    # each unordered pair enters the ordered-pair sums in both orientations
+    sel = inner[i] & inner[j]
+    lhs_modular = 2.0 * float(np.sum(coeff[sel] * np.abs(w_plus[i[sel]] - w_plus[j[sel]]) ** p[sel]))
 
-    cross = np.ix_(inner, outer)
-    lhs_cross = float(np.sum(coeff[cross] * np.where(
-        adm[cross], w_plus[inner][:, None] * w_minus[outer][None, :] ** (pm[cross] - 1.0), 0.0)))
+    def cross(a, b):  # ordered pairs (a, b) with a in B_r and b in B_R
+        sel = inner[a] & outer[b]
+        return float(np.sum(coeff[sel] * w_plus[a[sel]] * w_minus[b[sel]] ** (p[sel] - 1.0)))
 
-    both = np.ix_(outer, outer)
-    with np.errstate(divide="ignore"):
-        flat_kern = np.where(adm[both], dist[both], 1.0) ** ((1.0 - s) * pm[both] - grid.dim)
-    wr = (w_plus[outer] / (R - r))[:, None] ** pm[both]
-    rhs_local = float(grid.measure**2 * np.sum(np.where(adm[both], wr * flat_kern, 0.0)))
+    lhs_cross = cross(i, j) + cross(j, i)
+
+    sel = outer[i] & outer[j]
+    flat_kern = kernel.dist[sel] ** ((1.0 - s) * p[sel] - grid.dim)
+    wr = w_plus / (R - r)
+    rhs_local = float(grid.measure**2 * np.sum((wr[i[sel]] ** p[sel] + wr[j[sel]] ** p[sel]) * flat_kern))
 
     # far factor: the tail of w_+ beyond B_R, sup over B_((R+r)/2)
     _, far = _tail_sums(grid, field, s, w_plus, x0, R, (R + r) / 2.0, reach=2.0 * R / (R - r))

@@ -4,8 +4,9 @@ The discrete energy is convex and continuously differentiable for exponent
 bounds above 1 (the map t -> |t|^(p-2) t extends by 0 at t = 0), so plain
 first-order descent with a backtracking line search converges from any
 start.  Steps are proposed with a Barzilai-Borwein scalar and safeguarded
-by Armijo backtracking (factor 0.5, sufficient decrease 1e-4), which keeps
-the accepted energy history non-increasing.  No smoothing of the gradient
+by backtracking (factor 0.5) until the gradient at the trial point
+certifies an Armijo decrease (see :func:`descend`), which keeps the
+accepted energy history non-increasing.  No smoothing of the gradient
 kernel is introduced, so constant data is solved exactly in zero descent
 steps.
 
@@ -125,37 +126,30 @@ def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int,
             step0: float = 1.0, backtrack: float = 0.5, armijo: float = 1e-4):
     """Backtracking descent on interior values.
 
-    Returns (u, history, residual, iterations) where u is the best-residual
-    iterate seen.  Stops early when the residual meets grad_tol or stops
-    improving for 50 iterations (the float64 energy-resolution floor).
-    Raises nothing on budget exhaustion; callers decide (minimize wraps this
-    with the non-convergence contract).
+    A trial step u - t g is accepted when its energy does not exceed the
+    last accepted one and gradient(trial) . g >= armijo |g|^2; F is convex,
+    so the latter certifies F(trial) <= F(u) - armijo t |g|^2 even below the
+    float64 resolution of F.  Returns (u, history, residual, iterations), u
+    the best-residual iterate seen.  Stops when the residual meets grad_tol,
+    when 60 backtracks find no acceptable step, or after max_iter
+    iterations; minimize wraps this with the non-convergence contract.
     """
-    grid = kernel.grid
-    free = grid.interior
+    free = kernel.grid.interior
     u = u0.copy()
     energy = kernel.energy(u)
     history = [energy]
+    g = kernel.gradient(u)
     step = step0
-    prev_g = None
-    prev_u = None
-    best_u = u
-    best_residual = math.inf
-    stalled = 0
+    prev_u = prev_g = None
+    best_u, best_residual = u, math.inf
 
-    for it in range(max_iter):
-        g = kernel.gradient(u)
+    for it in range(max_iter + 1):
         g[~free] = 0.0
         residual = np.max(np.abs(g[free])) / 2.0
-        if residual < 0.999 * best_residual:
-            best_u, best_residual, stalled = u, residual, 0
-        else:
-            stalled += 1
-        if best_residual <= grad_tol:
-            return best_u, np.asarray(history), best_residual, it
-        if stalled >= 50:
-            # residual pinned at the float64 energy-resolution floor
-            return best_u, np.asarray(history), best_residual, it
+        if residual < best_residual:
+            best_u, best_residual = u, residual
+        if best_residual <= grad_tol or it == max_iter:
+            break
 
         if prev_g is not None:
             du = u[free] - prev_u
@@ -164,31 +158,25 @@ def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int,
             if denom > 0:
                 step = float(du @ du) / denom
             step = min(max(step, 1e-12), 1e12)
-        gnorm2 = float(g[free] @ g[free])
+        gnorm2 = float(g @ g)
 
-        accepted = False
         for _ in range(60):
             trial = u.copy()
             trial[free] = u[free] - step * g[free]
             trial_energy = kernel.energy(trial)
-            if trial_energy <= energy - armijo * step * gnorm2:
-                accepted = True
-                break
+            if trial_energy <= energy:
+                trial_g = kernel.gradient(trial)
+                if float(trial_g @ g) >= armijo * gnorm2:
+                    break
             step *= backtrack
-        if not accepted:
-            # the energy cannot decrease any further in float64
-            return best_u, np.asarray(history), best_residual, it
+        else:
+            break  # no certified descent step is left in float64
         prev_u = u[free].copy()
         prev_g = g[free].copy()
-        u = trial
-        energy = trial_energy
+        u, g, energy = trial, trial_g, trial_energy
         history.append(energy)
 
-    g = kernel.gradient(u)
-    residual = np.max(np.abs(g[free])) / 2.0
-    if residual < best_residual:
-        best_u, best_residual = u, residual
-    return best_u, np.asarray(history), best_residual, max_iter
+    return best_u, np.asarray(history), best_residual, it
 
 
 def minimize(config: SolveConfig, grid: Grid | None = None,
@@ -198,8 +186,9 @@ def minimize(config: SolveConfig, grid: Grid | None = None,
     Collar values are pinned to the data; interior values start from a
     short quadratic-exponent presolve (100 descent steps with p = 2) and
     then descend the true energy until the weighted nodal residual drops
-    below ``grad_tol``.  Exhausting ``max_iter`` raises
-    :class:`NonConvergenceError` carrying the partial result.
+    below ``grad_tol``.  A descent that stops above ``grad_tol`` (budget
+    spent or no acceptable step left) raises :class:`NonConvergenceError`
+    carrying the partial result.
     """
     grid = config.build_grid() if grid is None else grid
     field = config.build_field() if field is None else field

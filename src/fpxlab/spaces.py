@@ -176,10 +176,13 @@ def combined_modular(u, field, s, grid, region=None) -> ModularResult:
 
 
 def combined_norm(u, field, s, grid, region=None, tol: float = 1e-10) -> NormResult:
+    # the combined modular of u / lam is sum_i m |u_i|^pbar_i lam^(-pbar_i) + sum_ij t_ij lam^(-p_ij)
     mask = _region_mask(grid, region)
-    return luxemburg_norm(
-        lambda lam: combined_modular(u / lam, field, s, grid, mask).value, tol
-    )
+    pbar = np.asarray(field.diagonal(grid.nodes))[mask]
+    pair_terms, p = region_pair_terms(u, field, s, grid, mask)
+    terms = np.concatenate([grid.measure * np.abs(u[mask]) ** pbar, pair_terms])
+    expo = np.concatenate([pbar, p])
+    return luxemburg_norm(lambda lam: float(np.sum(terms * lam**-expo)), tol)
 
 
 def conjugate_exponent(p):

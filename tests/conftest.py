@@ -7,6 +7,28 @@ from fpxlab.operators import PairKernel
 from fpxlab.solve import SolveConfig, minimize
 
 
+def dense_kernel(grid, field, s):
+    """The kernel as dense N x N arrays over ordered pairs: the oracle of the pair list.
+
+    Returns (pmat, dist, admissible, coeff); coeff is zero off the admissible set.
+    """
+    nodes = grid.nodes
+    dist = np.sqrt(np.sum((nodes[:, None, :] - nodes[None, :, :]) ** 2, axis=-1))
+    pmat = np.asarray(field.eval(nodes[:, None, :], nodes[None, :, :]))
+    both_ext = grid.exterior[:, None] & grid.exterior[None, :]
+    admissible = ~np.eye(grid.n_nodes, dtype=bool) & ~both_ext \
+        & (dist <= grid.interaction_radius * (1 + 1e-12))
+    with np.errstate(divide="ignore"):
+        kernel = np.where(admissible, dist, 1.0) ** -(grid.dim + s * pmat)
+    coeff = np.where(admissible, grid.measure**2 * kernel, 0.0)
+    return pmat, dist, admissible, coeff
+
+
+@pytest.fixture(scope="session")
+def dense():
+    return dense_kernel
+
+
 @pytest.fixture(scope="session")
 def line_grid():
     """1-D grid over [-4, 4] with domain (-1, 1), h = 0.04."""

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpxlab.exponents import constant_field, radial_field
+from fpxlab.exponents import constant_field, product_field, radial_field
 from fpxlab.grid import (
     GridGeometryError,
     ball_mask,
@@ -13,6 +15,7 @@ from fpxlab.grid import (
     write_grid_function,
 )
 from fpxlab.operators import PairKernel, tail
+from fpxlab.regularity import caccioppoli_report
 
 
 # -- grid construction -------------------------------------------------------
@@ -176,13 +179,14 @@ def test_weak_form_matches_operator_pairing(line_grid, rng):
     assert kern.weak_residual(u, phi) == pytest.approx(paired, rel=1e-12)
 
 
-def test_weak_residual_matches_pair_double_sum(line_grid, rng):
+def test_weak_residual_matches_pair_double_sum(line_grid, rng, dense):
     """The gradient pairing agrees with the defining sum over ordered pairs."""
     kern = PairKernel(line_grid, radial_field(), 0.5)
+    pmat, _, _, coeff = dense(line_grid, radial_field(), 0.5)
     u = rng.normal(size=line_grid.n_nodes)
     phi = np.where(line_grid.interior, rng.normal(size=line_grid.n_nodes), 0.0)
     d = np.subtract.outer(u, u)
-    terms = kern.coeff * np.sign(d) * np.abs(d) ** (kern.pmat - 1.0) * np.subtract.outer(phi, phi)
+    terms = coeff * np.sign(d) * np.abs(d) ** (pmat - 1.0) * np.subtract.outer(phi, phi)
     scale = np.sum(np.abs(terms))
     assert kern.weak_residual(u, phi) == pytest.approx(np.sum(terms), rel=1e-12, abs=1e-14 * scale)
 
@@ -197,10 +201,63 @@ def test_energy_gradient_matches_directional_derivative(line_grid, rng):
     assert abs(pairing - derivative) <= 1e-6 * (1.0 + abs(kern.energy(u)))
 
 
-def test_kernel_symmetry_exact(line_grid):
+def test_kernel_symmetry_exact(line_grid, dense):
     kern = PairKernel(line_grid, radial_field(), 0.5)
-    assert np.array_equal(kern.coeff, kern.coeff.T)
-    assert np.array_equal(kern.pmat, kern.pmat.T)
+    pmat, _, admissible, coeff = dense(line_grid, radial_field(), 0.5)
+    # both orientations of every listed pair carry the listed coefficient and exponent
+    for full, listed in ((coeff, kern.coeff), (pmat, kern.p)):
+        assert np.array_equal(full[kern.i, kern.j], listed)
+        assert np.array_equal(full[kern.j, kern.i], listed)
+    # every admissible unordered pair is listed exactly once
+    count = np.zeros(admissible.shape, dtype=int)
+    np.add.at(count, (kern.i, kern.j), 1)
+    np.add.at(count, (kern.j, kern.i), 1)
+    assert np.array_equal(count, admissible.astype(int))
+
+
+@st.composite
+def small_kernels(draw):
+    """A small random grid, exponent field and nodal data."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from(range(9, 22, 2)))
+    h = 0.25
+    span = (n - 1) // 2  # r_trunc in units of h
+    widest = int((span - 1e-9) / math.sqrt(dim))  # halfwidth below r_trunc / sqrt(dim)
+    width = draw(st.integers(min_value=1, max_value=widest)) * h
+    grid = build_grid(dim, (0.0,) * dim, (width,) * dim, span * h, n)
+    field = draw(st.sampled_from([constant_field(2.0), radial_field(), product_field()]))
+    u = np.random.default_rng(draw(st.integers(0, 2**31 - 1))).normal(size=grid.n_nodes)
+    return grid, field, u
+
+
+@given(small_kernels())
+@settings(max_examples=40, deadline=None)
+def test_pair_list_matches_dense_oracle(dense, case):
+    grid, field, u = case
+    s, x0 = 0.5, np.zeros(grid.dim)
+    R = grid.room(x0) * 0.75
+    r, k = R / 2, float(np.median(u[grid.interior]))
+    kern = PairKernel(grid, field, s)
+    pmat, dist, admissible, coeff = dense(grid, field, s)
+
+    d = np.subtract.outer(u, u)
+    energy = np.sum(coeff * np.abs(d) ** pmat / pmat)
+    gradient = 2.0 * np.sum(coeff * np.sign(d) * np.abs(d) ** (pmat - 1.0), axis=1)
+    assert kern.energy(u) == pytest.approx(energy, rel=1e-12)
+    assert np.max(np.abs(kern.gradient(u) - gradient)) <= 1e-12 * np.max(np.abs(gradient))
+
+    # the three pair sums of the level-set estimate over ordered pairs
+    w_plus, w_minus = np.maximum(u - k, 0.0), np.maximum(k - u, 0.0)
+    inner, outer = ball_mask(grid, x0, r), ball_mask(grid, x0, R)
+    lhs_modular = np.sum(coeff * np.abs(np.subtract.outer(w_plus, w_plus)) ** pmat * np.outer(inner, inner))
+    lhs_cross = np.sum(coeff * np.outer(w_plus * inner, outer) * w_minus ** (pmat - 1.0))
+    flat = np.where(admissible, dist, 1.0) ** ((1.0 - s) * pmat - grid.dim)
+    wr = (w_plus / (R - r))[:, None] ** pmat
+    rhs_local = grid.measure**2 * np.sum(np.where(admissible & np.outer(outer, outer), wr * flat, 0.0))
+    rep = caccioppoli_report(u, field, s, grid, x0, r, R, k, kernel=kern)
+    assert rep.lhs_modular == pytest.approx(lhs_modular, rel=1e-12)
+    assert rep.lhs_cross == pytest.approx(lhs_cross, rel=1e-12)
+    assert rep.rhs_local == pytest.approx(rhs_local, rel=1e-12)
 
 
 # -- tail ---------------------------------------------------------------------

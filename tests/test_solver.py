@@ -98,6 +98,17 @@ def test_restarts_agree(rng):
         assert np.max(np.abs(u - solutions[0])) <= 1e-5
 
 
+@pytest.mark.parametrize("seed", [3, 7])
+def test_slow_descent_is_not_cut_short(line_grid, seed):
+    # the residual here improves by under 0.1% over 50 steps while the energy still
+    # falls, far above grad_tol; descent must go on rather than stop as stalled
+    cfg = make_config(field_kind="product", field_params={}, exterior="random:1",
+                      grad_tol=1e-8, seed=seed)
+    result = minimize(cfg, grid=line_grid)
+    assert result.final_residual <= cfg.grad_tol
+    assert np.all(np.diff(result.energy_history) <= 0.0)
+
+
 def test_gradient_matches_finite_differences(rng):
     grid = build_grid(1, 0.0, 1.0, 4.0, 81)
     for field in (constant_field(2.0), radial_field()):
