@@ -21,7 +21,7 @@ from .exponents import check_exterior_comparison, check_interior_oscillation, ch
 from .grid import ball_mask, read_grid_function, write_grid_function
 from .operators import PairKernel, tail
 from .solve import NonConvergenceError, comparison_check, exterior_data, minimize
-from .spaces import gagliardo_modular, lebesgue_modular, lebesgue_norm, sobolev_seminorm
+from .spaces import lebesgue_norm, sobolev_seminorm
 
 __all__ = ["main"]
 
@@ -93,16 +93,15 @@ def _cmd_norms(args) -> int:
     u = read_grid_function(args.input, grid)
     region = grid.interior
     pbar = np.asarray(field.diagonal(grid.nodes))
-    modular = lebesgue_modular(u, pbar, grid, region)
+    # each norm reports its modular at unit scaling, so the pair terms are built once
     norm = lebesgue_norm(u, pbar, grid, region)
-    gag = gagliardo_modular(u, field, config.solve.s, grid, region)
     semi = sobolev_seminorm(u, field, config.solve.s, grid, region)
     _dump_json(out / "norms.json", {
-        "modular": modular.value,
+        "modular": norm.modular,
         "norm": norm.value,
         "bracket": list(norm.bracket),
         "iterations": norm.iterations,
-        "gagliardo_modular": gag.value,
+        "gagliardo_modular": semi.modular,
         "seminorm": semi.value,
         "seminorm_bracket": list(semi.bracket),
         "seminorm_iterations": semi.iterations,
@@ -126,15 +125,11 @@ def _cmd_diagnose(args) -> int:
         levels = [float(np.quantile(u[grid.interior], t)) for t in (0.25, 0.5, 0.75)]
     else:
         levels = [float(v) for v in dg.levels.split(",")]
-    caccioppoli = [
-        reg.caccioppoli_report(u, field, s, grid, x0, dg.inner_factor * radius, radius, k, kernel=kernel)
-        for k in levels
-    ]
+    caccioppoli = reg.caccioppoli_report(u, field, s, grid, x0, dg.inner_factor * radius, radius,
+                                         levels, kernel=kernel)
 
-    tails = {
-        sign: dataclasses.asdict(tail(grid, field, s, u, x0, radius, sign))
-        for sign in ("plus", "minus", "abs")
-    }
+    tails = {rep.sign: dataclasses.asdict(rep)
+             for rep in tail(grid, field, s, u, x0, radius, ("plus", "minus", "abs"))}
     sup_rep = reg.sup_bound_check(u, field, s, grid, x0, sigma, q=None, radius=radius)
 
     shift = float(np.min(u))

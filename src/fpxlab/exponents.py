@@ -251,12 +251,18 @@ class ProductExtrema:
     argmax: tuple
 
 
+_BLOCK_PAIRS = 1 << 16  # pairs evaluated at once by extrema_over_product
+
+
 def extrema_over_product(field: ExponentField, pts_a, pts_b, cap: int = 2000) -> ProductExtrema:
     """Exponent extrema over the product of two point sets.
 
     Suprema/infima are taken over sampled pairs; sets sharing points include
     zero-separation pairs, so diagonal-limit values are attained exactly.
-    Sets larger than ``cap`` are thinned deterministically.
+    Sets larger than ``cap`` are thinned deterministically.  The product is
+    swept in blocks of rows holding about ``_BLOCK_PAIRS`` pairs, so memory
+    stays bounded whatever the set sizes; for a set against itself only the
+    upper triangle (diagonal included) is evaluated, since p is symmetric.
     """
     a = np.atleast_2d(_as_points(pts_a))
     b = np.atleast_2d(_as_points(pts_b))
@@ -264,14 +270,23 @@ def extrema_over_product(field: ExponentField, pts_a, pts_b, cap: int = 2000) ->
         raise ValueError("extrema_over_product requires nonempty point sets")
     a = _thin(a, cap)
     b = _thin(b, cap)
-    vals = field.eval(a[:, None, :], b[None, :, :])
-    imin = np.unravel_index(np.argmin(vals), vals.shape)
-    imax = np.unravel_index(np.argmax(vals), vals.shape)
+    same = np.array_equal(a, b)
+    rows = max(1, _BLOCK_PAIRS // len(b))
+    best_min = best_max = None  # (value, row, column)
+    for start in range(0, len(a), rows):
+        first = start if same else 0  # columns before the block lie below the diagonal
+        vals = np.asarray(field.eval(a[start:start + rows, None, :], b[None, first:, :]))
+        kmin = np.unravel_index(np.argmin(vals), vals.shape)
+        kmax = np.unravel_index(np.argmax(vals), vals.shape)
+        if best_min is None or vals[kmin] < best_min[0]:
+            best_min = (vals[kmin], start + kmin[0], first + kmin[1])
+        if best_max is None or vals[kmax] > best_max[0]:
+            best_max = (vals[kmax], start + kmax[0], first + kmax[1])
     return ProductExtrema(
-        p_minus=float(vals[imin]),
-        p_plus=float(vals[imax]),
-        argmin=(a[imin[0]].copy(), b[imin[1]].copy()),
-        argmax=(a[imax[0]].copy(), b[imax[1]].copy()),
+        p_minus=float(best_min[0]),
+        p_plus=float(best_max[0]),
+        argmin=(a[best_min[1]].copy(), b[best_min[2]].copy()),
+        argmax=(a[best_max[1]].copy(), b[best_max[2]].copy()),
     )
 
 

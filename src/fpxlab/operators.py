@@ -36,8 +36,8 @@ def _signed_power(delta: np.ndarray, expo: np.ndarray) -> np.ndarray:
 class PairKernel:
     """The admissible unordered pairs of one (grid, field, s) triple.
 
-    Pair k joins interior node ``i[k]`` to node ``j[k]`` at distance
-    ``dist[k]``, with exponent ``p[k]`` and coefficient ``coeff[k]``.
+    Pair k joins interior node ``i[k]`` to node ``j[k]``, with exponent
+    ``p[k]`` and coefficient ``coeff[k]``: 32 bytes per pair.
     """
 
     def __init__(self, grid: Grid, field, s: float):
@@ -63,9 +63,9 @@ class PairKernel:
         i, j = i[keep], j[keep]
         dist = np.sqrt(np.sum((grid.nodes[i] - grid.nodes[j]) ** 2, axis=-1))
         keep = dist <= limit
-        self.i, self.j, self.dist = i[keep], j[keep], dist[keep]
+        self.i, self.j, dist = i[keep], j[keep], dist[keep]
         self.p = np.asarray(field.eval(grid.nodes[self.i], grid.nodes[self.j]), dtype=float)
-        self.coeff = grid.measure**2 * self.dist ** -(grid.dim + self.s * self.p)
+        self.coeff = grid.measure**2 * dist ** -(grid.dim + self.s * self.p)
 
     # -- energy and its gradient ---------------------------------------
 
@@ -111,7 +111,7 @@ class TailReport:
 
 
 def tail(grid: Grid, field, s: float, u: np.ndarray, x0, radius: float,
-         sign: str = "plus", sup_radius: float | None = None) -> TailReport:
+         sign="plus", sup_radius: float | None = None):
     """Truncated tail integral of u beyond the ball B_radius(x0).
 
     Computes sup over grid nodes x in B_sup(x0) (sup_radius defaults to
@@ -123,51 +123,54 @@ def tail(grid: Grid, field, s: float, u: np.ndarray, x0, radius: float,
     their measure lying outside, keeping the quadrature second order at the
     inner boundary.  The report carries the analytic bound on what the box
     truncation dropped, valid for data bounded by max |u| on the collar.
+    ``sign`` is one of plus, minus and abs, giving one report, or a
+    sequence of them, giving a list of reports that share the exponent and
+    kernel table.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not radius < grid.room(x0):
         raise GridGeometryError("tail ball must be contained in the domain")
-    if sign not in ("plus", "minus", "abs"):
+    signs = [sign] if isinstance(sign, str) else list(sign)
+    if any(sg not in ("plus", "minus", "abs") for sg in signs):
         raise ValueError("sign must be plus, minus, or abs")
-    if sign == "plus":
-        uy = np.maximum(u, 0.0)
-    elif sign == "minus":
-        uy = np.maximum(-u, 0.0)
-    else:
-        uy = np.abs(u)
 
     sup_r = radius if sup_radius is None else float(sup_radius)
-    xs, sums = _tail_sums(grid, field, s, uy, x0, radius, sup_r)
-    k = int(np.argmax(sums))
-
+    xs, sums_of = _tail_sums(grid, field, s, x0, radius, sup_r)
     # dropped mass beyond the outermost kept cells, for collar-bounded data
     trunc_r = float(np.min(grid.r_trunc - np.abs(x0 - grid.center)) + grid.h / 2)
-    m = float(np.max(uy[grid.exterior])) if np.any(grid.exterior) else 0.0
-    mpow = max(m ** (field.p_min - 1.0), m ** (field.p_max - 1.0))
     surf = SPHERE_MEASURE[grid.dim]
-    if trunc_r >= 1.0:
-        remainder = mpow * surf * trunc_r ** (-s * field.p_min) / (s * field.p_min)
-    else:  # split at r = 1 where the worst kernel exponent switches
-        remainder = mpow * surf * (
-            (trunc_r ** (-s * field.p_max) - 1.0) / (s * field.p_max)
-            + 1.0 / (s * field.p_min)
+
+    def report(sg: str) -> TailReport:
+        uy = np.abs(u) if sg == "abs" else np.maximum(u if sg == "plus" else -u, 0.0)
+        sums = sums_of(uy)
+        k = int(np.argmax(sums))
+        m = float(np.max(uy[grid.exterior])) if np.any(grid.exterior) else 0.0
+        mpow = max(m ** (field.p_min - 1.0), m ** (field.p_max - 1.0))
+        if trunc_r >= 1.0:
+            remainder = mpow * surf * trunc_r ** (-s * field.p_min) / (s * field.p_min)
+        else:  # split at r = 1 where the worst kernel exponent switches
+            remainder = mpow * surf * (
+                (trunc_r ** (-s * field.p_max) - 1.0) / (s * field.p_max)
+                + 1.0 / (s * field.p_min)
+            )
+        return TailReport(
+            value=float(sums[k]),
+            argmax_x=xs[k].copy(),
+            truncation_radius=trunc_r,
+            remainder_bound=float(remainder),
+            sign=sg,
         )
 
-    return TailReport(
-        value=float(sums[k]),
-        argmax_x=xs[k].copy(),
-        truncation_radius=trunc_r,
-        remainder_bound=float(remainder),
-        sign=sign,
-    )
+    return report(sign) if isinstance(sign, str) else [report(sg) for sg in signs]
 
 
-def _tail_sums(grid: Grid, field, s: float, uy: np.ndarray, x0: np.ndarray, radius: float,
+def _tail_sums(grid: Grid, field, s: float, x0: np.ndarray, radius: float,
                sup_radius: float, reach: float = 1.0):
-    """The nodes x of B_sup_radius(x0) and their sums in :func:`tail`'s quadrature.
+    """The nodes x of B_sup_radius(x0) and the map from data to their sums in :func:`tail`'s quadrature.
 
-    Every distance |y - x0| is divided by ``reach``; the recentred far
-    kernel of the level-set estimate uses reach > 1.
+    The exponents and kernel powers do not depend on the data and are
+    computed here once.  Every distance |y - x0| is divided by ``reach``;
+    the recentred far kernel of the level-set estimate uses reach > 1.
     """
     dist0 = np.sqrt(np.sum((grid.nodes - x0) ** 2, axis=1))
     frac = np.clip((dist0 - radius) / grid.h + 0.5, 0.0, 1.0)
@@ -181,5 +184,7 @@ def _tail_sums(grid: Grid, field, s: float, uy: np.ndarray, x0: np.ndarray, radi
     xs = grid.nodes[xsel]
     ys = grid.nodes[ysel]
     pxy = np.asarray(field.eval(xs[:, None, :], ys[None, :, :]))
-    core = uy[ysel][None, :] ** (pxy - 1.0) / (dist0[ysel][None, :] / reach) ** (grid.dim + s * pxy)
-    return xs, core @ weights[ysel]
+    expo = pxy - 1.0
+    power = (dist0[ysel][None, :] / reach) ** (grid.dim + s * pxy)
+    weights = weights[ysel]
+    return xs, lambda uy: (uy[ysel][None, :] ** expo / power) @ weights

@@ -132,9 +132,14 @@ class CaccioppoliReport:
 
 
 def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
-                       x0, r: float, R: float, k: float,
-                       kernel: PairKernel | None = None) -> CaccioppoliReport:
+                       x0, r: float, R: float, k,
+                       kernel: PairKernel | None = None):
     """Level-set energy estimate for w_+ = (u - k)_+ on B_r within B_R.
+
+    ``k`` is one level, giving one report, or a sequence of levels, giving a
+    list of reports that share the parts not depending on the level: the
+    pair selections, the flat kernel, the far-kernel table, the ball
+    exponents and the cut-off.
 
     All pair sums run over the grid's admissible interaction set, which is
     exactly the set the discrete weak form controls; with the interaction
@@ -158,56 +163,62 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
         raise GridGeometryError("outer ball must be contained in the domain")
     kernel = PairKernel(grid, field, s) if kernel is None else kernel
 
-    w_plus = truncate_level(u, k, "plus")
-    w_minus = truncate_level(u, k, "minus")
+    # level-free parts: pair selections, flat kernel, far-kernel table, ball exponents, cut-off
     inner = ball_mask(grid, x0, r)
     outer = ball_mask(grid, x0, R)
-
     i, j, p, coeff = kernel.i, kernel.j, kernel.p, kernel.coeff
 
-    # each unordered pair enters the ordered-pair sums in both orientations
     sel = inner[i] & inner[j]
-    lhs_modular = 2.0 * float(np.sum(coeff[sel] * np.abs(w_plus[i[sel]] - w_plus[j[sel]]) ** p[sel]))
-
-    def cross(a, b):  # ordered pairs (a, b) with a in B_r and b in B_R
+    mod_i, mod_j, mod_p, mod_coeff = i[sel], j[sel], p[sel], coeff[sel]
+    # each unordered pair enters the ordered-pair sums in both orientations;
+    # cross pairs (a, b) have a in B_r and b in B_R
+    crosses = []
+    for a, b in ((i, j), (j, i)):
         sel = inner[a] & outer[b]
-        return float(np.sum(coeff[sel] * w_plus[a[sel]] * w_minus[b[sel]] ** (p[sel] - 1.0)))
-
-    lhs_cross = cross(i, j) + cross(j, i)
+        crosses.append((a[sel], b[sel], coeff[sel], p[sel] - 1.0))
 
     sel = outer[i] & outer[j]
-    flat_kern = kernel.dist[sel] ** ((1.0 - s) * p[sel] - grid.dim)
-    wr = w_plus / (R - r)
-    rhs_local = float(grid.measure**2 * np.sum((wr[i[sel]] ** p[sel] + wr[j[sel]] ** p[sel]) * flat_kern))
+    flat_i, flat_j, flat_p = i[sel], j[sel], p[sel]
+    flat_dist = np.sqrt(np.sum((grid.nodes[flat_i] - grid.nodes[flat_j]) ** 2, axis=-1))
+    flat_kern = flat_dist ** ((1.0 - s) * flat_p - grid.dim)
 
     # far factor: the tail of w_+ beyond B_R, sup over B_((R+r)/2)
-    _, far = _tail_sums(grid, field, s, w_plus, x0, R, (R + r) / 2.0, reach=2.0 * R / (R - r))
-    rhs_tail = float(np.max(far)) * float(grid.measure * np.sum(w_plus[outer]))
+    _, far_sums = _tail_sums(grid, field, s, x0, R, (R + r) / 2.0, reach=2.0 * R / (R - r))
 
     ext = extrema_over_product(field, grid.nodes[outer], grid.nodes[outer])
     p_minus, p_plus = ext.p_minus, ext.p_plus
     c_branch = min(0.5, 2.0 ** (p_minus - 2.0))
     c_explicit = max(2.0**p_plus * algebraic_constant(p_minus, p_plus), 2.0) / c_branch
 
-    # residual pairing with the proof's own test function
+    # the proof's own test function is w_+ times this cut-off
     dist0 = np.sqrt(np.sum((grid.nodes - x0) ** 2, axis=1))
-    eta = np.clip(((R + r) / 2.0 - dist0) / ((R - r) / 2.0), 0.0, 1.0)
-    phi = w_plus * eta**p_plus
-    phi[~grid.interior] = 0.0
-    weak_value = kernel.weak_residual(u, phi)
+    cutoff = np.clip(((R + r) / 2.0 - dist0) / ((R - r) / 2.0), 0.0, 1.0) ** p_plus
+    cutoff[~grid.interior] = 0.0
 
-    lhs = lhs_modular + lhs_cross
-    rhs = c_explicit * (rhs_local + rhs_tail) + max(weak_value, 0.0) / c_branch
-    c_emp = lhs / (rhs_local + rhs_tail) if rhs_local + rhs_tail > 0 else 0.0
-    return CaccioppoliReport(
-        level=float(k), r=float(r), R=float(R),
-        lhs_modular=lhs_modular, lhs_cross=lhs_cross,
-        rhs_local=rhs_local, rhs_tail=rhs_tail,
-        c_explicit=float(c_explicit), c_empirical=float(c_emp),
-        weak_form_value=float(weak_value),
-        satisfied=bool(lhs <= rhs + 1e-12 * (1.0 + rhs)),
-        p_minus=float(p_minus), p_plus=float(p_plus),
-    )
+    def at(level: float) -> CaccioppoliReport:
+        w_plus = truncate_level(u, level, "plus")
+        w_minus = truncate_level(u, level, "minus")
+        lhs_modular = 2.0 * float(np.sum(mod_coeff * np.abs(w_plus[mod_i] - w_plus[mod_j]) ** mod_p))
+        lhs_cross = sum(float(np.sum(c * w_plus[a] * w_minus[b] ** e)) for a, b, c, e in crosses)
+        wr = w_plus / (R - r)
+        rhs_local = float(grid.measure**2 * np.sum((wr[flat_i] ** flat_p + wr[flat_j] ** flat_p) * flat_kern))
+        rhs_tail = float(np.max(far_sums(w_plus))) * float(grid.measure * np.sum(w_plus[outer]))
+        weak_value = kernel.weak_residual(u, w_plus * cutoff)
+
+        lhs = lhs_modular + lhs_cross
+        rhs = c_explicit * (rhs_local + rhs_tail) + max(weak_value, 0.0) / c_branch
+        c_emp = lhs / (rhs_local + rhs_tail) if rhs_local + rhs_tail > 0 else 0.0
+        return CaccioppoliReport(
+            level=float(level), r=float(r), R=float(R),
+            lhs_modular=lhs_modular, lhs_cross=lhs_cross,
+            rhs_local=rhs_local, rhs_tail=rhs_tail,
+            c_explicit=float(c_explicit), c_empirical=float(c_emp),
+            weak_form_value=float(weak_value),
+            satisfied=bool(lhs <= rhs + 1e-12 * (1.0 + rhs)),
+            p_minus=float(p_minus), p_plus=float(p_plus),
+        )
+
+    return at(k) if np.ndim(k) == 0 else [at(level) for level in k]
 
 
 # ---------------------------------------------------------------------------

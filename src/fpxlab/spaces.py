@@ -9,14 +9,15 @@ sum_i m_i delta_{x_i}, so the modular/norm relations (the unit-ball
 trichotomy and the p_-/p_+ sandwiches) hold for them verbatim and are
 asserted by the tests rather than re-derived.
 
-Luxemburg norms are computed by bracketing and bisecting the monotone map
-lambda -> modular(u / lambda) around 1.
+Luxemburg norms are roots of the decreasing map lambda -> modular(u / lambda)
+minus 1, found by a bracketing root finder in log-log coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,9 +58,14 @@ class ModularResult:
 
 @dataclass
 class NormResult:
+    """A Luxemburg norm: ``value`` is the bracket's upper end, ``iterations``
+    counts the modular evaluations after the unit scaling, and ``modular``
+    is rho(u), the modular at unit scaling."""
+
     value: float
     bracket: tuple
     iterations: int
+    modular: float
 
 
 def _region_mask(grid: Grid, region) -> np.ndarray:
@@ -82,18 +88,27 @@ def region_pair_terms(u: np.ndarray, expo, order: float, grid: Grid, region_a=No
     """Terms m^2 |u_i - u_j|^e / |x_i - x_j|^(dim + order e) of a double region sum.
 
     ``expo`` is an :class:`ExponentField`, giving e = p(x_i, x_j), or a
-    constant exponent.  Coincident pairs are left out.  Returns the terms and
-    their exponents; the double sum is the sum of the terms.
+    constant exponent.  Coincident pairs are left out.  With one region
+    (``region_b`` omitted) each unordered pair is listed once with its term
+    doubled, since both the term and the field are symmetric.  Returns the
+    terms and their exponents; the double sum is the sum of the terms.
     """
     mask_a = _region_mask(grid, region_a)
-    mask_b = _region_mask(grid, mask_a if region_b is None else region_b)
-    xa, xb = grid.nodes[mask_a], grid.nodes[mask_b]
-    dist = np.sqrt(np.sum((xa[:, None, :] - xb[None, :, :]) ** 2, axis=-1))
+    xa, ua = grid.nodes[mask_a], u[mask_a]
+    if region_b is None:
+        ia, ib = np.triu_indices(len(xa), 1)
+        xb, ub, weight = xa, ua, 2.0
+    else:
+        mask_b = _region_mask(grid, region_b)
+        xb, ub, weight = grid.nodes[mask_b], u[mask_b], 1.0
+        ia, ib = np.divmod(np.arange(len(xa) * len(xb)), len(xb))
+    dist = np.sqrt(np.sum((xa[ia] - xb[ib]) ** 2, axis=-1))
     off = dist > 0
+    ia, ib, dist = ia[off], ib[off], dist[off]
     if isinstance(expo, ExponentField):
-        expo = np.asarray(expo.eval(xa[:, None, :], xb[None, :, :]))[off]
-    du = np.abs(u[mask_a][:, None] - u[mask_b][None, :])[off]
-    terms = grid.measure**2 * du**expo * dist[off] ** -(grid.dim + order * expo)
+        expo = np.asarray(expo.eval(xa[ia], xb[ib]))
+    du = np.abs(ua[ia] - ub[ib])
+    terms = weight * grid.measure**2 * du**expo * dist ** -(grid.dim + order * expo)
     return terms, expo
 
 
@@ -104,65 +119,115 @@ def gagliardo_modular(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
     return ModularResult(float(np.sum(terms)), "gagliardo")
 
 
+class _Scaling(NamedTuple):
+    """One evaluation of a Luxemburg root finder: rho = modular(lam), t = log lam, f = log rho."""
+
+    t: float
+    lam: float
+    rho: float
+    f: float
+
+
 def luxemburg_norm(modular: Callable[[float], float], tol: float = 1e-10,
                    max_iter: int = 200) -> NormResult:
-    """Smallest lambda with modular(lambda) <= 1 for a monotone modular map.
+    """Smallest lambda with modular(lambda) <= 1 for a decreasing modular map.
 
-    ``modular`` evaluates rho(u / lambda); it must be non-increasing in
-    lambda.  Bracket by doubling/halving from 1, then bisect until the
-    bracket is relatively tight and the modular at the returned value sits
-    within ``tol`` of 1.
+    ``modular`` evaluates rho(u / lambda).  The result is the bracket end
+    ``hi`` of a bracket (lo, hi) with rho(lo) > 1 >= rho(hi), hi - lo <=
+    tol max(1, hi) and |rho(hi) - 1| <= tol.  The root is found in t = log
+    lambda, where f(t) = log rho(e^t) is a log-sum-exp of affine functions of
+    t for the modulars of this module (sums of c_k lambda^(-p_k)): convex,
+    decreasing, and linear for a constant exponent.  Secant steps bracket
+    the root from t = 0 and Brent's method (inverse quadratic
+    interpolation, secant and bisection steps) closes the bracket, so a
+    norm takes a handful of evaluations where bisection takes dozens.
+    ``max_iter`` caps the evaluations after the first.
     """
     base = modular(1.0)
     if base == 0.0:
-        return NormResult(0.0, (0.0, 0.0), 0)
+        return NormResult(0.0, (0.0, 0.0), 0, 0.0)
     if not np.isfinite(base):
         raise ModularDivergenceError("modular not finite at unit scaling")
 
-    iterations = 0
-    if base <= 1.0:
-        hi = 1.0
-        lo = 0.5
-        while modular(lo) <= 1.0:
-            hi, lo = lo, lo / 2
-            iterations += 1
-            if iterations >= max_iter:
-                return NormResult(hi, (lo, hi), iterations)
-    else:
-        lo = 1.0
-        hi = 2.0
-        while True:
-            value = modular(hi)
-            if not np.isfinite(value):
-                raise ModularDivergenceError("modular diverges for every scaling")
-            if value <= 1.0:
-                break
-            lo, hi = hi, hi * 2
-            iterations += 1
-            if iterations >= max_iter:
-                raise ModularDivergenceError("modular stayed above 1 during bracketing")
+    evaluations = 0
 
-    mid = hi
-    for _ in range(max_iter):
-        iterations += 1
-        mid = 0.5 * (lo + hi)
-        if modular(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol * max(1.0, hi) and abs(modular(hi) - 1.0) <= tol:
+    def scaling(t: float) -> _Scaling:
+        nonlocal evaluations
+        evaluations += 1
+        lam = math.exp(t) if t < 709.0 else math.inf
+        rho = modular(lam)
+        if np.isnan(rho) or (lam > 1.0 and rho == np.inf):
+            raise ModularDivergenceError("modular diverges for every scaling")
+        return _Scaling(t, lam, rho, math.log(rho) if rho > 0 else -np.inf)
+
+    # bracketing: the first step solves f(0) - 2 t = 0, exact for exponent 2;
+    # later steps take twice the secant step and never shrink
+    pre = _Scaling(0.0, 1.0, base, math.log(base))
+    step = pre.f / 2.0 if pre.f != 0.0 else -tol
+    while True:
+        cur = scaling(pre.t + step)
+        if (cur.f > 0.0) != (pre.f > 0.0):
             break
-    return NormResult(float(hi), (float(lo), float(hi)), iterations)
+        if evaluations >= max_iter:
+            if cur.f > 0.0:
+                raise ModularDivergenceError("modular stayed above 1 during bracketing")
+            return NormResult(float(cur.lam), (0.0, float(cur.lam)), evaluations, float(base))
+        slope = (cur.f - pre.f) / (cur.t - pre.t)
+        newton = -cur.f / slope if slope < 0.0 and np.isfinite(slope) else 0.0
+        step = math.copysign(max(2.0 * abs(newton), abs(step)), step)
+        pre = cur
+
+    # Brent's method; blk is the bracket end across the root from cur, the best point
+    blk = pre
+    spre = scur = cur.t - pre.t
+    while True:
+        if abs(blk.f) < abs(cur.f):
+            pre, cur, blk = cur, blk, cur
+        lo, hi = (cur, blk) if cur.f > 0.0 else (blk, cur)
+        if (hi.lam - lo.lam <= tol * max(1.0, hi.lam) and abs(hi.rho - 1.0) <= tol) \
+                or evaluations >= max_iter:
+            return NormResult(float(hi.lam), (float(lo.lam), float(hi.lam)), evaluations, float(base))
+        # a bracket of width 2 delta in t meets both conditions, since by
+        # convexity 1 - rho(hi) <= |f(hi)| <= |chord slope| (t_hi - t_lo)
+        chord = abs((blk.f - cur.f) / (blk.t - cur.t))
+        delta = max(0.25 * tol / max(1.0, chord if np.isfinite(chord) else 1.0),
+                    4.0 * np.finfo(float).eps * abs(cur.t))
+        sbis = (blk.t - cur.t) / 2.0
+        step = sbis
+        if abs(spre) > delta and abs(cur.f) < abs(pre.f) and np.isfinite(pre.f) and np.isfinite(blk.f):
+            if pre.t == blk.t:  # secant
+                trial = -cur.f * (cur.t - pre.t) / (cur.f - pre.f)
+            else:  # inverse quadratic interpolation
+                dpre = (pre.f - cur.f) / (pre.t - cur.t)
+                dblk = (blk.f - cur.f) / (blk.t - cur.t)
+                trial = -cur.f * (blk.f * dblk - pre.f * dpre) / (dblk * dpre * (blk.f - pre.f))
+            if 2.0 * abs(trial) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, step = scur, trial
+            else:
+                spre = sbis
+        else:
+            spre = sbis
+        scur = step
+        pre = cur
+        cur = scaling(cur.t + (step if abs(step) > delta else math.copysign(delta, sbis)))
+        if (cur.f > 0.0) != (pre.f > 0.0):
+            blk = pre
+            spre = scur = cur.t - pre.t
 
 
 def lebesgue_norm(u, pbar, grid, region=None, tol: float = 1e-10) -> NormResult:
     return luxemburg_norm(lambda lam: lebesgue_modular(u / lam, pbar, grid, region).value, tol)
 
 
+def _scaled_sum(terms: np.ndarray, expo: np.ndarray, lam: float) -> float:
+    """sum_k t_k lam^(-e_k); exp of a product costs less than a power, and at lam = 1 the sum is exactly sum_k t_k."""
+    return float(np.sum(terms * np.exp(expo * -math.log(lam))))
+
+
 def sobolev_seminorm(u, field, s, grid, region=None, tol: float = 1e-10) -> NormResult:
     # the Gagliardo modular of u / lam is sum_ij t_ij lam^(-p_ij)
     terms, p = region_pair_terms(u, field, s, grid, region)
-    return luxemburg_norm(lambda lam: float(np.sum(terms * lam**-p)), tol)
+    return luxemburg_norm(lambda lam: _scaled_sum(terms, p, lam), tol)
 
 
 def combined_modular(u, field, s, grid, region=None) -> ModularResult:
@@ -182,7 +247,7 @@ def combined_norm(u, field, s, grid, region=None, tol: float = 1e-10) -> NormRes
     pair_terms, p = region_pair_terms(u, field, s, grid, mask)
     terms = np.concatenate([grid.measure * np.abs(u[mask]) ** pbar, pair_terms])
     expo = np.concatenate([pbar, p])
-    return luxemburg_norm(lambda lam: float(np.sum(terms * lam**-expo)), tol)
+    return luxemburg_norm(lambda lam: _scaled_sum(terms, expo, lam), tol)
 
 
 def conjugate_exponent(p):

@@ -1,10 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fpxlab.cli import main
 from fpxlab.config import ConfigError, parse_text, serialize
+from fpxlab.grid import read_grid_function
+from fpxlab.spaces import gagliardo_modular, lebesgue_modular
 
 BASE_CONFIG = """\
 [grid]
@@ -142,6 +145,35 @@ def test_diagnose_fields(config_path, tmp_path):
     for rep in report["caccioppoli"]:
         for key in ("lhs_modular", "lhs_cross", "rhs_local", "rhs_tail", "c_explicit"):
             assert math.isfinite(rep[key])
+
+
+def test_norms_modulars_match_library(config_path, tmp_path):
+    # norms.json takes both modulars from its norms' unit-scaling evaluations
+    out = tmp_path / "out"
+    main(["solve", "--config", str(config_path), "--out", str(out)])
+    assert main(["norms", "--config", str(config_path),
+                 "--input", str(out / "solution.csv"), "--out", str(out)]) == 0
+    report = json.loads((out / "norms.json").read_text())
+    cfg = parse_text(BASE_CONFIG)
+    grid, field = cfg.solve.build_grid(), cfg.solve.build_field()
+    u = read_grid_function(out / "solution.csv", grid)
+    pbar = np.asarray(field.diagonal(grid.nodes))
+    assert report["modular"] == lebesgue_modular(u, pbar, grid).value
+    assert report["gagliardo_modular"] == gagliardo_modular(u, field, cfg.solve.s, grid).value
+
+
+def test_analysis_outputs_deterministic(config_path, tmp_path):
+    """Two identical runs of each analysis command write byte-identical JSON."""
+    solved = tmp_path / "solved"
+    assert main(["solve", "--config", str(config_path), "--out", str(solved)]) == 0
+    solution = str(solved / "solution.csv")
+    for run in ("a", "b"):
+        out = str(tmp_path / run)
+        assert main(["norms", "--config", str(config_path), "--input", solution, "--out", out]) == 0
+        assert main(["diagnose", "--config", str(config_path), "--input", solution, "--out", out]) == 0
+        assert main(["check-exponent", "--config", str(config_path), "--out", out]) == 0
+    for name in ("norms.json", "diagnostics.json", "exponent.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_iterate_table(capsys):

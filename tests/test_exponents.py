@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fpxlab import exponents
 from fpxlab.exponents import (
     OutOfDomainError,
     check_exterior_comparison,
@@ -101,6 +105,38 @@ def test_extrema_radial_ball_and_complement(line_grid):
     # the infimum is the profile at the largest reachable separation
     dmax = np.max(np.abs(comp[:, 0])) + 0.3
     assert cross.p_minus == pytest.approx(radial_profile(dmax), abs=1e-3)
+
+
+@given(
+    dim=st.sampled_from([1, 2]),
+    field=st.sampled_from(ALL_FIELDS),
+    sizes=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    same=st.booleans(),
+    cap=st.sampled_from([3, 11, 2000]),
+    block=st.sampled_from([1, 5, 64, 1 << 16]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_extrema_match_dense_product(dim, field, sizes, same, cap, block, seed):
+    """The blocked sweep finds the dense product's extrema bit for bit.
+
+    ``block`` shrinks the pairs per block so that small sets are swept in
+    several blocks; ``cap`` below the set sizes exercises the thinning.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.5, 1.5, size=(sizes[0], dim))
+    b = a.copy() if same else rng.uniform(-1.5, 1.5, size=(sizes[1], dim))
+    with mock.patch.object(exponents, "_BLOCK_PAIRS", block):
+        ext = extrema_over_product(field, a, b, cap=cap)
+
+    def thin(pts):
+        return pts[:: math.ceil(len(pts) / cap)] if len(pts) > cap else pts
+
+    dense = np.asarray(field.eval(thin(a)[:, None, :], thin(b)[None, :, :]))
+    assert ext.p_minus == dense.min()
+    assert ext.p_plus == dense.max()
+    assert field.eval(*ext.argmin) == ext.p_minus
+    assert field.eval(*ext.argmax) == ext.p_plus
 
 
 def test_extrema_empty_rejected():

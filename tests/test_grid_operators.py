@@ -289,6 +289,35 @@ def test_tail_monotone_in_data(line_grid, rng):
     assert large >= small
 
 
+def test_tail_and_far_term_match_double_sum(line_grid, rng):
+    # the quadrature written out: sup over x in B_sup(x0) of
+    # sum_y m frac_y u(y)^(p(x,y) - 1) / (|y - x0| / reach)^(dim + s p(x,y))
+    grid, field, s, x0 = line_grid, radial_field(), 0.5, 0.0
+    u = rng.normal(size=grid.n_nodes)
+    dist0 = np.abs(grid.nodes[:, 0] - x0)
+
+    def far_sup(data, radius, sup_radius, reach):
+        frac = np.clip((dist0 - radius) / grid.h + 0.5, 0.0, 1.0)
+        xs = grid.nodes[ball_mask(grid, x0, sup_radius), 0]
+        pxy = np.asarray(field.eval(xs[:, None, None], grid.nodes[None, :, :]))
+        with np.errstate(divide="ignore", invalid="ignore"):  # y = x0 carries no weight
+            kern = np.where(frac > 0, data ** (pxy - 1.0) / (dist0 / reach) ** (grid.dim + s * pxy), 0.0)
+        return float(np.max(kern @ (grid.measure * frac)))
+
+    parts = {"plus": np.maximum(u, 0.0), "minus": np.maximum(-u, 0.0), "abs": np.abs(u)}
+    reports = tail(grid, field, s, u, x0, 0.5, tuple(parts))  # one shared table for every sign
+    for rep, (sign, data) in zip(reports, parts.items()):
+        assert rep.sign == sign
+        assert rep.value == tail(grid, field, s, u, x0, 0.5, sign).value
+        assert rep.value == pytest.approx(far_sup(data, 0.5, 0.5, 1.0), rel=1e-12)
+    r, R, k = 0.25, 0.5, float(np.median(u[grid.interior]))
+    rep = caccioppoli_report(u, field, s, grid, x0, r, R, k)
+    w_plus = np.maximum(u - k, 0.0)
+    far = far_sup(w_plus, R, (R + r) / 2.0, 2.0 * R / (R - r))
+    mass = grid.measure * np.sum(w_plus[ball_mask(grid, x0, R)])
+    assert rep.rhs_tail == pytest.approx(far * mass, rel=1e-12)
+
+
 def test_tail_rejects_escaping_ball(line_grid):
     with pytest.raises(GridGeometryError):
         tail(line_grid, constant_field(2.0), 0.5, np.ones(line_grid.n_nodes), 0.0, 1.5)

@@ -22,6 +22,7 @@ from fpxlab.regularity import (
     sup_bound_check,
     truncate_level,
 )
+from fpxlab.operators import PairKernel
 from fpxlab.solve import SolveConfig, exterior_data, minimize
 
 
@@ -140,6 +141,25 @@ def test_caccioppoli_quartile_levels(tall_solution):
         rep = caccioppoli_report(result.u, field, cfg.s, grid, 0.0, 0.25, 0.5, k=k)
         assert rep.satisfied
         assert rep.c_empirical <= rep.c_explicit
+
+
+def test_caccioppoli_levels_share_level_free_parts(tall_solution):
+    # a sequence of levels gives the same reports, bit for bit, as one call per level
+    grid, field, cfg, result = tall_solution
+    levels = [float(np.quantile(result.u[grid.interior], t)) for t in (0.25, 0.5, 0.75)]
+    reports = caccioppoli_report(result.u, field, cfg.s, grid, 0.0, 0.25, 0.5, k=levels)
+    assert reports == [caccioppoli_report(result.u, field, cfg.s, grid, 0.0, 0.25, 0.5, k=k) for k in levels]
+
+
+def test_caccioppoli_weak_form_uses_proof_test_function(radial_solution):
+    # phi = (u - k)_+ eta^p_+ on interior nodes, eta the cut-off between B_((R+r)/2) and B_r
+    cfg, grid, field, result = radial_solution
+    r, R, k = 0.25, 0.5, 0.0
+    kernel = PairKernel(grid, field, cfg.s)
+    rep = caccioppoli_report(result.u, field, cfg.s, grid, 0.0, r, R, k, kernel=kernel)
+    eta = np.clip(((R + r) / 2.0 - np.abs(grid.nodes[:, 0])) / ((R - r) / 2.0), 0.0, 1.0)
+    phi = np.where(grid.interior, np.maximum(result.u - k, 0.0) * eta**rep.p_plus, 0.0)
+    assert rep.weak_form_value == kernel.weak_residual(result.u, phi)
 
 
 def test_caccioppoli_rejects_bad_geometry(line_grid):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpxlab.exponents import constant_field, radial_field
+from fpxlab import spaces
+from fpxlab.exponents import constant_field, product_field, radial_field
 from fpxlab.grid import box_mask, build_grid
 from fpxlab.spaces import (
     ModularDivergenceError,
@@ -125,6 +126,61 @@ def test_luxemburg_trichotomy_property(scale, seed):
     elif norm < 1:
         assert mod < 1 + 1e-8
         assert norm**p_hi <= mod * (1 + 1e-8) and mod <= norm**p_lo * (1 + 1e-8)
+
+
+def _bisection_norm(modular, tol=1e-13):
+    """Reference root: bracket by doubling or halving from 1, then bisect."""
+    lo = hi = 1.0
+    if modular(1.0) > 1.0:
+        while modular(hi) > 1.0:
+            lo, hi = hi, 2.0 * hi
+    else:
+        while modular(lo) <= 1.0:
+            lo, hi = lo / 2.0, lo
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if modular(mid) <= 1.0 else (mid, hi)
+    return hi
+
+
+NORMS = {
+    "lebesgue": lambda u, field, grid, region: lebesgue_norm(
+        u, 2.0 + grid.nodes[:, 0] ** 2, grid, region),
+    "seminorm": lambda u, field, grid, region: sobolev_seminorm(u, field, 0.5, grid, region),
+    "combined": lambda u, field, grid, region: combined_norm(u, field, 0.5, grid, region),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMS))
+@pytest.mark.parametrize("field", [radial_field(), product_field()], ids=["radial", "product"])
+def test_luxemburg_contract(name, field, unit_grid, unit_region, monkeypatch):
+    """Each norm meets the bracket contract within 12 modular evaluations
+    and agrees with plain bisection on seeded variable-exponent data."""
+    calls = []
+    root_finder = spaces.luxemburg_norm
+
+    def counted(modular, tol=1e-10, **kwargs):
+        seen = []
+        result = root_finder(lambda lam: seen.append(lam) or modular(lam), tol, **kwargs)
+        calls.append((modular, seen, result, tol))
+        return result
+
+    monkeypatch.setattr(spaces, "luxemburg_norm", counted)
+    rng = np.random.default_rng(20240817)
+    for scale in (1e-4, 0.03, 0.5, 1.0, 3.0, 40.0, 1e4):
+        u = scale * rng.normal(size=unit_grid.n_nodes)
+        NORMS[name](u, field, unit_grid, unit_region)
+    assert len(calls) == 7
+    for modular, seen, result, tol in calls:
+        lo, hi = result.bracket
+        assert result.value == hi
+        assert modular(lo) > 1.0 >= modular(hi)
+        assert hi - lo <= tol * max(1.0, hi)
+        assert abs(modular(hi) - 1.0) <= tol
+        assert result.value == pytest.approx(_bisection_norm(modular), rel=1e-9)
+        assert len(seen) <= 12
+        assert result.iterations == len(seen) - 1
+        assert result.modular == modular(1.0)
 
 
 # -- Gagliardo modular and seminorm -------------------------------------------
