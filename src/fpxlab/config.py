@@ -33,7 +33,6 @@ class DiagnosticsSpec:
     inner_factor: float = 0.5
     levels: str = "quartiles"
     dyadic_levels: int = 3
-    scales: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
     gamma: float = 0.25
     delta: str = "auto"
 
@@ -47,7 +46,7 @@ class RunConfig:
 _GRID_KEYS = {"dim", "center", "halfwidth", "r_trunc", "nodes_per_axis"}
 _FIELD_KEYS = {"preset", "value", "table"}
 _PROBLEM_KEYS = {"s", "sigma", "q", "exterior", "grad_tol", "max_iter", "step0", "backtrack", "seed"}
-_DIAG_KEYS = {"center", "radius", "inner_factor", "levels", "dyadic_levels", "scales", "gamma", "delta"}
+_DIAG_KEYS = {"center", "radius", "inner_factor", "levels", "dyadic_levels", "gamma", "delta"}
 _SECTIONS = {"grid": _GRID_KEYS, "field": _FIELD_KEYS, "problem": _PROBLEM_KEYS, "diagnostics": _DIAG_KEYS}
 
 
@@ -146,8 +145,6 @@ def parse_text(text: str) -> RunConfig:
         except ValueError:
             problems.append({"field": "diagnostics.levels", "message": "quartiles or a comma list of numbers"})
     dyadic = _get(sections, "diagnostics", "dyadic_levels", int, 3, problems, lambda v: v >= 3, "must be >= 3")
-    scales = _get(sections, "diagnostics", "scales", _floats, (1e-1, 1e-2, 1e-3, 1e-4), problems,
-                  lambda v: len(v) >= 2 and all(0 < x < 1 for x in v), "need >= 2 scales in (0, 1)")
     gamma = _get(sections, "diagnostics", "gamma", float, 0.25, problems,
                  lambda v: 0 < v < 1, "must lie in (0, 1)")
     delta = _get(sections, "diagnostics", "delta", str, "auto", problems)
@@ -175,7 +172,7 @@ def parse_text(text: str) -> RunConfig:
     )
     diagnostics = DiagnosticsSpec(
         center=diag_center, radius=radius, inner_factor=inner_factor, levels=levels,
-        dyadic_levels=dyadic, scales=scales, gamma=gamma, delta=delta,
+        dyadic_levels=dyadic, gamma=gamma, delta=delta,
     )
     return RunConfig(solve=solve, diagnostics=diagnostics)
 
@@ -211,7 +208,7 @@ def serialize(config: RunConfig) -> str:
         "diagnostics": {
             "center": tuple(dg.center), "radius": dg.radius, "inner_factor": dg.inner_factor,
             "levels": dg.levels, "dyadic_levels": dg.dyadic_levels,
-            "scales": tuple(dg.scales), "gamma": dg.gamma, "delta": dg.delta,
+            "gamma": dg.gamma, "delta": dg.delta,
         },
     }
     if sv.field_kind == "constant":

@@ -452,24 +452,6 @@ def check_exterior_comparison(
     )
 
 
-_DIRECTIONS_CACHE: dict = {}
-
-
-def _pair_directions(dim: int) -> np.ndarray:
-    """Fixed unit directions in the 2*dim pair space."""
-    if dim in _DIRECTIONS_CACHE:
-        return _DIRECTIONS_CACHE[dim]
-    eye = np.eye(2 * dim)
-    dirs = [v for v in eye] + [-v for v in eye]
-    for sx in (1.0, -1.0):
-        for sy in (1.0, -1.0):
-            v = np.concatenate([sx * np.ones(dim), sy * np.ones(dim)])
-            dirs.append(v / np.linalg.norm(v))
-    out = np.array(dirs)
-    _DIRECTIONS_CACHE[dim] = out
-    return out
-
-
 def check_log_holder(
     field: ExponentField,
     grid,
@@ -503,7 +485,10 @@ def check_log_holder(
             ),
         ]
     )
-    dirs = _pair_directions(grid.dim)
+    # fixed unit directions in the 2*dim pair space: the axes and the four diagonals
+    eye = np.eye(2 * grid.dim)
+    diagonals = [np.repeat([sx, sy], grid.dim) for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
+    dirs = np.concatenate([eye, -eye, np.array(diagonals) / math.sqrt(2 * grid.dim)])
     lo = np.concatenate([grid.center - grid.halfwidths] * 2)
     hi = np.concatenate([grid.center + grid.halfwidths] * 2)
 

@@ -433,61 +433,7 @@ class GrowthReport:
     p_plus: float
 
 
-def _growth_checks(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
-                   x0, R: float, H: float, gamma: float, sigma: float):
-    """Growth-lemma checks as a function of delta.
-
-    Only the scale and tail-bound hypotheses and the conclusion depend on
-    delta; everything else is computed here once.  Returns the map
-    delta -> (hypotheses, conclusion) and the ball exponents p_-, p_+.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not R < grid.room(x0):
-        raise GridGeometryError("scenario ball must be contained in the domain")
-
-    b_full = ball_mask(grid, x0, R)
-    b_half = ball_mask(grid, x0, R / 2.0)
-    ext = extrema_over_product(field, grid.nodes[b_full], grid.nodes[b_full])
-    p_minus, p_plus = ext.p_minus, ext.p_plus
-
-    checks = {}
-    tol = 1e-12
-    umin, umax = float(np.min(u[b_full])), float(np.max(u[b_full]))
-    checks["range"] = (umin >= -tol and umax <= 2.0 * H + tol, {"min": umin, "max": umax, "cap": 2.0 * H})
-    frac = float(np.count_nonzero(u[b_half] >= H) / np.count_nonzero(b_half))
-    checks["mass_fraction"] = (frac >= gamma - tol, {"fraction": frac, "gamma": gamma})
-    spread = H ** (p_plus - p_minus)
-    checks["exponent_spread"] = (spread <= 2.0 + tol, {"value": spread})
-    if sigma * p_minus < grid.dim:
-        p_star = grid.dim * p_minus / (grid.dim - sigma * p_minus)
-        checks["subcritical"] = (p_plus < p_star, {"p_plus": p_plus, "p_star": p_star})
-    else:
-        checks["subcritical"] = (False, {"p_plus": p_plus, "p_star": math.inf})
-    t_value = tail(grid, field, s, u, x0, R, "minus", sup_radius=0.75 * R).value
-    quarter_min = float(np.min(u[ball_mask(grid, x0, R / 4.0)]))
-
-    def at(delta: float):
-        with_delta = dict(checks)
-        with_delta["scale"] = (R**s <= delta * H + tol, {"value": R**s, "bound": delta * H})
-        t_bound = R ** (-s * p_plus) * (delta * H) ** (p_plus - 1.0) \
-            + R ** (-s * p_minus) * (delta * H) ** (p_minus - 1.0)
-        with_delta["tail"] = (t_value <= t_bound + tol, {"value": t_value, "bound": t_bound})
-        return with_delta, quarter_min >= delta * H - tol
-
-    return at, p_minus, p_plus
-
-
-def _growth_report(scenario: GrowthScenario, at, p_minus: float, p_plus: float) -> GrowthReport:
-    checks, conclusion = at(scenario.delta)
-    return GrowthReport(
-        scenario=scenario,
-        hypotheses={k: {"ok": ok, **info} for k, (ok, info) in checks.items()},
-        hypotheses_met=all(ok for ok, _ in checks.values()),
-        conclusion_holds=bool(conclusion),
-        failed=[k for k, (ok, _) in checks.items() if not ok],
-        p_minus=float(p_minus),
-        p_plus=float(p_plus),
-    )
+_GROWTH_TOL = 1e-12  # absolute slack of every growth-lemma comparison
 
 
 def growth_lemma_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
@@ -500,12 +446,45 @@ def growth_lemma_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     conclusion min u >= delta H over B_(R/4) is asserted; otherwise the
     failing hypotheses are reported and nothing is claimed.
     """
-    at, p_minus, p_plus = _growth_checks(u, field, s, grid, scenario.x0, scenario.radius,
-                                         scenario.H, scenario.gamma, scenario.sigma)
-    return _growth_report(scenario, at, p_minus, p_plus)
+    x0 = np.atleast_1d(np.asarray(scenario.x0, dtype=float))
+    R, H, delta = scenario.radius, scenario.H, scenario.delta
+    if not R < grid.room(x0):
+        raise GridGeometryError("scenario ball must be contained in the domain")
 
+    b_full = ball_mask(grid, x0, R)
+    b_half = ball_mask(grid, x0, R / 2.0)
+    ext = extrema_over_product(field, grid.nodes[b_full], grid.nodes[b_full])
+    p_minus, p_plus = ext.p_minus, ext.p_plus
 
-_DELTA_BISECTION_STEPS = 40
+    checks = {}
+    tol = _GROWTH_TOL
+    umin, umax = float(np.min(u[b_full])), float(np.max(u[b_full]))
+    checks["range"] = (umin >= -tol and umax <= 2.0 * H + tol, {"min": umin, "max": umax, "cap": 2.0 * H})
+    frac = float(np.count_nonzero(u[b_half] >= H) / np.count_nonzero(b_half))
+    checks["mass_fraction"] = (frac >= scenario.gamma - tol, {"fraction": frac, "gamma": scenario.gamma})
+    spread = H ** (p_plus - p_minus)
+    checks["exponent_spread"] = (spread <= 2.0 + tol, {"value": spread})
+    if scenario.sigma * p_minus < grid.dim:
+        p_star = grid.dim * p_minus / (grid.dim - scenario.sigma * p_minus)
+        checks["subcritical"] = (p_plus < p_star, {"p_plus": p_plus, "p_star": p_star})
+    else:
+        checks["subcritical"] = (False, {"p_plus": p_plus, "p_star": math.inf})
+    checks["scale"] = (R**s <= delta * H + tol, {"value": R**s, "bound": delta * H})
+    t_value = tail(grid, field, s, u, x0, R, "minus", sup_radius=0.75 * R).value
+    t_bound = R ** (-s * p_plus) * (delta * H) ** (p_plus - 1.0) \
+        + R ** (-s * p_minus) * (delta * H) ** (p_minus - 1.0)
+    checks["tail"] = (t_value <= t_bound + tol, {"value": t_value, "bound": t_bound})
+    quarter_min = float(np.min(u[ball_mask(grid, x0, R / 4.0)]))
+
+    return GrowthReport(
+        scenario=scenario,
+        hypotheses={k: {"ok": ok, **info} for k, (ok, info) in checks.items()},
+        hypotheses_met=all(ok for ok, _ in checks.values()),
+        conclusion_holds=bool(quarter_min >= delta * H - tol),
+        failed=[k for k, (ok, _) in checks.items() if not ok],
+        p_minus=float(p_minus),
+        p_plus=float(p_plus),
+    )
 
 
 def calibrate_growth_delta(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
@@ -513,11 +492,15 @@ def calibrate_growth_delta(u: np.ndarray, field: ExponentField, s: float, grid: 
     """Find the largest positivity constant delta that the instance supports.
 
     H and gamma are measured from the data (H = sup u / 2 over the ball,
-    gamma = the measured mass fraction at level H); delta is then located by
-    scanning a dyadic ladder for feasibility and bisecting the upper
-    boundary of the feasible set inside (0, 1/8].  Returns delta (None when
-    the ladder finds no feasible value) and the growth report at delta, or
-    at the last ladder value when there is none.
+    gamma = the measured mass fraction at level H).  Only the scale and
+    tail hypotheses and the conclusion depend on delta: both hypotheses
+    bound delta from below, and the conclusion min_(B_R/4) u >= delta H - tol
+    bounds it from above.  The feasible deltas in (0, 1/8] therefore form an
+    interval whose top end, if any delta is feasible, is
+    min(1/8, (min_(B_R/4) u + tol) / H), stepped down by an ulp where
+    rounding breaks the conclusion.  One growth check at that value decides
+    feasibility.  Returns delta (None when the check fails) and the growth
+    report at delta, or at 1/8 when the formula gives no positive value.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     b_full = ball_mask(grid, x0, radius)
@@ -527,26 +510,17 @@ def calibrate_growth_delta(u: np.ndarray, field: ExponentField, s: float, grid: 
         raise ValueError("calibration needs a positive supremum on the ball")
     frac = float(np.count_nonzero(u[b_half] >= h_level) / np.count_nonzero(b_half))
     gamma = min(max(frac, 1e-6), 1.0 - 1e-6)
-    at, p_minus, p_plus = _growth_checks(u, field, s, grid, x0, radius, h_level, gamma, sigma)
+    quarter_min = float(np.min(u[ball_mask(grid, x0, radius / 4.0)]))
 
-    def feasible(delta: float) -> bool:
-        checks, conclusion = at(delta)
-        return conclusion and all(ok for ok, _ in checks.values())
-
-    ladder = [0.125 * 0.5**t for t in range(24)]
-    lo = next((delta for delta in ladder if feasible(delta)), None)
-    hi = 0.125
-    if lo is not None and lo < hi:  # 1/8 failed on the ladder
-        for _ in range(_DELTA_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
+    delta = min(0.125, (quarter_min + _GROWTH_TOL) / h_level)
+    while delta > 0 and quarter_min < delta * h_level - _GROWTH_TOL:
+        delta = float(np.nextafter(delta, 0.0))
     scenario = GrowthScenario(x0=tuple(x0), radius=radius, H=h_level,
-                              delta=ladder[-1] if lo is None else lo,
+                              delta=delta if delta > 0 else 0.125,
                               gamma=gamma, s=s, sigma=sigma, q=q)
-    return lo, _growth_report(scenario, at, p_minus, p_plus)
+    report = growth_lemma_check(u, field, s, grid, scenario)
+    feasible = report.hypotheses_met and report.conclusion_holds
+    return (delta if feasible else None), report
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +552,8 @@ def sublevel_energy_check(u: np.ndarray, field: ExponentField, s: float, grid: G
     below).  The constant is fitted, mirroring its existential status.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if not radius < grid.room(x0):
+        raise GridGeometryError("sublevel ball must be contained in the domain")
     b_full = ball_mask(grid, x0, radius)
     b_half = ball_mask(grid, x0, radius / 2.0)
     ext = extrema_over_product(field, grid.nodes[b_full], grid.nodes[b_full])
@@ -640,10 +616,8 @@ def holder_exponent_fit(u: np.ndarray, grid: Grid, x0, radius: float,
         raise ResolutionError(
             f"only {len(radii)} dyadic levels above 2h; refine the grid or enlarge the ball")
     radii = np.array(radii)
-    osc = np.array([
-        float(np.max(u[ball_mask(grid, x0, rj)]) - np.min(u[ball_mask(grid, x0, rj)]))
-        for rj in radii
-    ])
+    balls = (u[ball_mask(grid, x0, rj)] for rj in radii)
+    osc = np.array([float(np.max(ball) - np.min(ball)) for ball in balls])
     if osc[0] == 0.0:
         return HolderFit(x0, radius, radii, osc, math.nan, math.nan, False)
     keep = osc > 0

@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 
+ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
+
+
 class NonConvergenceError(RuntimeError):
     """Raised when the iteration budget runs out; carries the partial result."""
 
@@ -63,7 +66,6 @@ class SolveConfig:
     max_iter: int = 50_000
     step0: float = 1.0
     backtrack: float = 0.5
-    armijo: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
@@ -123,12 +125,12 @@ def exterior_data(spec: str, grid: Grid, seed: int = 0) -> np.ndarray:
 
 
 def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int,
-            step0: float = 1.0, backtrack: float = 0.5, armijo: float = 1e-4):
+            step0: float = 1.0, backtrack: float = 0.5):
     """Backtracking descent on interior values.
 
     A trial step u - t g is accepted when its energy does not exceed the
-    last accepted one and gradient(trial) . g >= armijo |g|^2; F is convex,
-    so the latter certifies F(trial) <= F(u) - armijo t |g|^2 even below the
+    last accepted one and gradient(trial) . g >= ARMIJO |g|^2; F is convex,
+    so the latter certifies F(trial) <= F(u) - ARMIJO t |g|^2 even below the
     float64 resolution of F.  Returns (u, history, residual, iterations), u
     the best-residual iterate seen.  Stops when the residual meets grad_tol,
     when 60 backtracks find no acceptable step, or after max_iter
@@ -166,7 +168,7 @@ def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int,
             trial_energy = kernel.energy(trial)
             if trial_energy <= energy:
                 trial_g = kernel.gradient(trial)
-                if float(trial_g @ g) >= armijo * gnorm2:
+                if float(trial_g @ g) >= ARMIJO * gnorm2:
                     break
             step *= backtrack
         else:
@@ -209,12 +211,11 @@ def minimize(config: SolveConfig, grid: Grid | None = None,
 
         quad = PairKernel(grid, constant_field(2.0), config.s)
         u0, _, _, _ = descend(quad, u0, grad_tol=config.grad_tol, max_iter=100,
-                              step0=config.step0, backtrack=config.backtrack,
-                              armijo=config.armijo)
+                              step0=config.step0, backtrack=config.backtrack)
 
     u, history, residual, iters = descend(
         kernel, u0, config.grad_tol, config.max_iter,
-        step0=config.step0, backtrack=config.backtrack, armijo=config.armijo,
+        step0=config.step0, backtrack=config.backtrack,
     )
     result = SolveResult(u=u, iterations=iters, final_residual=residual, energy_history=history)
     if residual > config.grad_tol:

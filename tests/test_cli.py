@@ -72,6 +72,12 @@ def test_parse_unknown_section():
     assert any(p["field"] == "mystery" for p in err.value.problems)
 
 
+def test_parse_rejects_removed_scales_key():
+    with pytest.raises(ConfigError) as err:
+        parse_text("[diagnostics]\nscales = 0.1,0.01\n")
+    assert err.value.problems == [{"field": "diagnostics.scales", "message": "unknown key"}]
+
+
 def test_serialize_round_trip():
     cfg = parse_text(BASE_CONFIG)
     normalized = serialize(cfg)

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpxlab.exponents import constant_field, radial_field
-from fpxlab.grid import build_grid
+from fpxlab.grid import GridGeometryError, ball_mask, build_grid
 from fpxlab.regularity import (
     DeGiorgiParams,
     GrowthScenario,
@@ -333,7 +334,48 @@ def radial_growth_solution():
     return grid, field, cfg, result
 
 
-@pytest.mark.parametrize("instance, radius", [("tall_solution", 0.5), ("radial_growth_solution", 0.1)])
+def _ramp_instance(scale):
+    """Constructed p = 2 data u = scale (0.1 + 1.9 min(|x| / 0.5, 1)) on B_0.5.
+
+    At scale 10.1 the feasible deltas are [0.073, 0.104], strictly between
+    1/16 and 1/8.  u is not a solve; ``result`` carries only u.
+    """
+    grid = build_grid(1, 0.0, 1.0, 4.0, 201)
+    cfg = SolveConfig(s=0.5, sigma=0.25, q=1.5, nodes_per_axis=201,
+                      field_kind="constant", field_params={"value": 2.0})
+    u = scale * (0.1 + 1.9 * np.minimum(np.abs(grid.nodes[:, 0]) / 0.5, 1.0))
+    return grid, constant_field(2.0), cfg, types.SimpleNamespace(u=u)
+
+
+@pytest.fixture(scope="module")
+def ramp_instance():
+    return _ramp_instance(10.1)
+
+
+@pytest.mark.parametrize("scale", [10.1, 9.9])  # at 9.9 the formula rounds past the conclusion
+def test_growth_delta_is_closed_form(scale):
+    grid, field, cfg, result = _ramp_instance(scale)
+    delta, rep = calibrate_growth_delta(result.u, field, cfg.s, grid, 0.0, 0.5, cfg.sigma, cfg.q)
+    quarter_min = float(np.min(result.u[ball_mask(grid, np.zeros(1), 0.125)]))
+    formula = (quarter_min + 1e-12) / rep.scenario.H
+    assert delta is not None and 1.0 / 16.0 < delta < 0.125
+    assert abs(delta - formula) <= np.spacing(formula)
+    assert rep.hypotheses_met and rep.conclusion_holds
+
+
+@pytest.mark.parametrize("shift, failing, at_delta", [
+    (0.0, "scale", (0.1 + 1e-12) / 0.962),  # H = 0.962: delta H = 0.1 < R^s at the top end
+    (1.0, "range", 0.125),  # u(0) = -0.9: no positive delta, the report is at 1/8
+])
+def test_growth_calibration_none_when_infeasible(shift, failing, at_delta):
+    grid, field, cfg, result = _ramp_instance(1.0)
+    delta, rep = calibrate_growth_delta(result.u - shift, field, cfg.s, grid, 0.0, 0.5, cfg.sigma, cfg.q)
+    assert delta is None and failing in rep.failed
+    assert rep.scenario.delta == pytest.approx(at_delta, rel=1e-12)
+
+
+@pytest.mark.parametrize("instance, radius", [("tall_solution", 0.5), ("radial_growth_solution", 0.1),
+                                              ("ramp_instance", 0.5)])
 def test_growth_calibration_agrees_with_full_check(instance, radius, request):
     grid, field, cfg, result = request.getfixturevalue(instance)
     delta, rep = calibrate_growth_delta(result.u, field, cfg.s, grid, 0.0, radius, cfg.sigma, cfg.q)
@@ -383,6 +425,12 @@ def test_sublevel_constant_stable_under_refinement():
         values.append(rep.c_empirical)
     assert values[0] > 0 and values[1] > 0
     assert 0.5 <= values[0] / values[1] <= 2.0
+
+
+def test_sublevel_rejects_ball_outside_domain(line_grid):
+    with pytest.raises(GridGeometryError):  # room at the center is 1.0
+        sublevel_energy_check(np.ones(line_grid.n_nodes), constant_field(2.0), 0.5,
+                              line_grid, 0.0, 1.5, 2.0, sigma=0.25, q=1.5)
 
 
 def test_sublevel_rejects_bad_q(line_grid):
