@@ -19,11 +19,33 @@ from . import regularity as reg
 from .config import ConfigError, parse_config
 from .exponents import check_exterior_comparison, check_interior_oscillation, check_log_holder, field_from_spec
 from .grid import ball_mask, read_grid_function, write_grid_function
-from .operators import PairKernel, tail
+from .operators import tail
 from .solve import NonConvergenceError, comparison_check, exterior_data, minimize
 from .spaces import lebesgue_norm, sobolev_seminorm
 
 __all__ = ["main"]
+
+
+def _reuse_freed_memory() -> None:
+    """Let glibc keep freed heap memory for reuse in this process; elsewhere this does nothing.
+
+    The descent allocates and frees pair-sized numpy temporaries at every
+    energy and gradient call.  glibc maps each allocation above its mmap
+    threshold afresh and hands the heap's top back to the system above its
+    trim threshold; both thresholds only rise when a large mapping is freed.
+    The kernel build sweeps in blocks and frees no such mapping, so every
+    call paid fresh page faults: a 1-D solve at 801 nodes took twice as long.
+    The values set are those glibc's own adaptive policy reaches after
+    freeing a 32 MB mapping.
+    """
+    import ctypes  # only the solve needs it; the other commands keep their import cost
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def _fail(code: str, field: str, message: str) -> int:
@@ -61,6 +83,7 @@ def _load_run(args):
 
 
 def _cmd_solve(args) -> int:
+    _reuse_freed_memory()
     config, grid, field = _load_run(args)
     out = _out_dir(args)
     g = exterior_data(config.solve.exterior, grid, config.solve.seed)
@@ -119,14 +142,13 @@ def _cmd_diagnose(args) -> int:
     q = config.solve.q
     x0 = np.asarray(dg.center)
     radius = dg.radius
-    kernel = PairKernel(grid, field, s)
 
     if dg.levels == "quartiles":
         levels = [float(np.quantile(u[grid.interior], t)) for t in (0.25, 0.5, 0.75)]
     else:
         levels = [float(v) for v in dg.levels.split(",")]
-    caccioppoli = reg.caccioppoli_report(u, field, s, grid, x0, dg.inner_factor * radius, radius,
-                                         levels, kernel=kernel)
+    # builds the kernel of the pairs that touch B_R, all the estimate reads
+    caccioppoli = reg.caccioppoli_report(u, field, s, grid, x0, dg.inner_factor * radius, radius, levels)
 
     tails = {rep.sign: dataclasses.asdict(rep)
              for rep in tail(grid, field, s, u, x0, radius, ("plus", "minus", "abs"))}
@@ -191,6 +213,8 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_check_exponent(args) -> int:
+    if args.config and args.preset:
+        return _fail("arguments", "preset", "--preset and --config exclude each other")
     if args.config:
         config, grid, field = _load_run(args)
     else:

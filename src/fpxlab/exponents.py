@@ -239,6 +239,51 @@ def field_from_spec(kind: str, **params) -> ExponentField:
 
 
 # ---------------------------------------------------------------------------
+# blocked pair sweeps
+# ---------------------------------------------------------------------------
+
+
+_BLOCK_PAIRS = 1 << 16  # pairs evaluated at once by every blocked pair sweep
+
+
+def row_blocks(n_rows: int, row_pairs: int = 1) -> list:
+    """Consecutive slices of ``n_rows`` rows of ``row_pairs`` pairs each.
+
+    A slice holds ``_BLOCK_PAIRS`` pairs, or one row.  Every pair table of
+    the package is swept in these blocks, so its temporaries stay
+    block-sized whatever the grid.
+    """
+    rows = max(1, _BLOCK_PAIRS // max(row_pairs, 1))
+    return [slice(start, start + rows) for start in range(0, n_rows, rows)]
+
+
+def fill_blocks(n_rows: int, row_pairs: int, kept) -> tuple:
+    """The row blocks of :func:`row_blocks` with the output slices they fill.
+
+    ``kept(rows)`` counts the entries a block contributes.  Counting first
+    lets a sweep allocate its outputs once, at their final size, and fill
+    them in a second pass.  Returns the total and (rows, output slice) pairs.
+    """
+    blocks = row_blocks(n_rows, row_pairs)
+    ends = np.cumsum([0] + [kept(rows) for rows in blocks])
+    return int(ends[-1]), [(rows, slice(a, b)) for rows, a, b in zip(blocks, ends[:-1], ends[1:])]
+
+
+def pairwise_sum(values, start: int, stop: int) -> float:
+    """``np.sum`` of entries start..stop, bit for bit, from block-sized pieces ``values(a, b)``.
+
+    numpy sums a contiguous array pairwise: more than 128 entries are split
+    at half their count, rounded down to a multiple of 8.  Following those
+    splits down to block-sized pieces gives the same sum without the array.
+    """
+    count = stop - start
+    if count <= max(_BLOCK_PAIRS, 128):
+        return float(np.sum(values(start, stop)))
+    half = count // 2 - (count // 2) % 8
+    return pairwise_sum(values, start, start + half) + pairwise_sum(values, start + half, stop)
+
+
+# ---------------------------------------------------------------------------
 # extrema over products of point sets
 # ---------------------------------------------------------------------------
 
@@ -251,18 +296,15 @@ class ProductExtrema:
     argmax: tuple
 
 
-_BLOCK_PAIRS = 1 << 16  # pairs evaluated at once by extrema_over_product
-
-
 def extrema_over_product(field: ExponentField, pts_a, pts_b, cap: int = 2000) -> ProductExtrema:
     """Exponent extrema over the product of two point sets.
 
     Suprema/infima are taken over sampled pairs; sets sharing points include
     zero-separation pairs, so diagonal-limit values are attained exactly.
     Sets larger than ``cap`` are thinned deterministically.  The product is
-    swept in blocks of rows holding about ``_BLOCK_PAIRS`` pairs, so memory
-    stays bounded whatever the set sizes; for a set against itself only the
-    upper triangle (diagonal included) is evaluated, since p is symmetric.
+    swept in the blocks of :func:`row_blocks`, so memory stays bounded
+    whatever the set sizes; for a set against itself only the upper
+    triangle (diagonal included) is evaluated, since p is symmetric.
     """
     a = np.atleast_2d(_as_points(pts_a))
     b = np.atleast_2d(_as_points(pts_b))
@@ -271,11 +313,11 @@ def extrema_over_product(field: ExponentField, pts_a, pts_b, cap: int = 2000) ->
     a = _thin(a, cap)
     b = _thin(b, cap)
     same = np.array_equal(a, b)
-    rows = max(1, _BLOCK_PAIRS // len(b))
     best_min = best_max = None  # (value, row, column)
-    for start in range(0, len(a), rows):
+    for rows in row_blocks(len(a), len(b)):
+        start = rows.start
         first = start if same else 0  # columns before the block lie below the diagonal
-        vals = np.asarray(field.eval(a[start:start + rows, None, :], b[None, first:, :]))
+        vals = np.asarray(field.eval(a[rows, None, :], b[None, first:, :]))
         kmin = np.unravel_index(np.argmin(vals), vals.shape)
         kmax = np.unravel_index(np.argmax(vals), vals.shape)
         if best_min is None or vals[kmin] < best_min[0]:

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exponents
+from .exponents import fill_blocks, row_blocks
 from .grid import SPHERE_MEASURE, Grid, GridGeometryError, ball_mask
 
 __all__ = ["PairKernel", "TailReport", "tail"]
@@ -37,35 +39,74 @@ class PairKernel:
     """The admissible unordered pairs of one (grid, field, s) triple.
 
     Pair k joins interior node ``i[k]`` to node ``j[k]``, with exponent
-    ``p[k]`` and coefficient ``coeff[k]``: 32 bytes per pair.
+    ``p[k]`` and coefficient ``coeff[k]``: 32 bytes per pair.  Pairs are
+    listed row by row, ``i`` ascending.  ``region`` (a node mask, default
+    every interior node) keeps only the pairs with an endpoint in it: a
+    subsequence of the full list in the same order, so the sums at every
+    region node, and the pairing with a test function supported there, are
+    those of the full kernel bit for bit.  Off the region they are partial.
     """
 
-    def __init__(self, grid: Grid, field, s: float):
+    def __init__(self, grid: Grid, field, s: float, region=None):
         if not 0.0 < s < 1.0:
             raise ValueError("differentiability order s must lie in (0, 1)")
         self.grid = grid
         self.field = field
         self.s = float(s)
+        self.region = region = grid.interior if region is None else np.asarray(region, dtype=bool)
 
         # lattice offsets inside the interaction radius, added to the interior nodes
-        shape = (grid.nodes_per_axis,) * grid.dim
         limit = grid.interaction_radius * (1 + 1e-12)
         steps = np.arange(-int(limit / grid.h) - 1, int(limit / grid.h) + 2)
         offsets = np.stack(np.meshgrid(*[steps] * grid.dim, indexing="ij"), axis=-1).reshape(-1, grid.dim)
         offsets = offsets[np.sum(offsets**2, axis=1) * grid.h**2 <= (limit * (1 + 1e-9)) ** 2]
+        jumps = offsets @ grid.nodes_per_axis ** np.arange(grid.dim - 1, -1, -1)  # in the node index
         inner = np.flatnonzero(grid.interior)
-        target = np.stack(np.unravel_index(inner, shape), axis=-1)[:, None, :] + offsets
-        inside = np.all((target >= 0) & (target < grid.nodes_per_axis), axis=-1)
-        i = np.broadcast_to(inner[:, None], inside.shape)[inside]
-        j = np.ravel_multi_index(tuple(target[inside].T), shape)
-        # a pair of interior nodes is kept once, from its lower index; i == j falls out too
-        keep = grid.exterior[j] | (i < j)
-        i, j = i[keep], j[keep]
-        dist = np.sqrt(np.sum((grid.nodes[i] - grid.nodes[j]) ** 2, axis=-1))
-        keep = dist <= limit
-        self.i, self.j, dist = i[keep], j[keep], dist[keep]
-        self.p = np.asarray(field.eval(grid.nodes[self.i], grid.nodes[self.j]), dtype=float)
-        self.coeff = grid.measure**2 * dist ** -(grid.dim + self.s * self.p)
+        axes = np.unravel_index(inner, (grid.nodes_per_axis,) * grid.dim)
+        coords = [np.ascontiguousarray(x) for x in grid.nodes.T]
+
+        def pairs(rows):
+            """The kept pairs (i, j, distance) of the interior nodes inner[rows], in list order."""
+            nodes = inner[rows, None]
+            inside = np.ones((len(nodes), len(offsets)), dtype=bool)
+            for axis, step in zip(axes, offsets.T):
+                target = axis[rows, None] + step
+                inside &= (target >= 0) & (target < grid.nodes_per_axis)
+            i = np.broadcast_to(nodes, inside.shape)[inside]
+            j = (nodes + jumps)[inside]
+            # a pair of interior nodes is kept once, from its lower index; i == j falls out too
+            keep = (grid.exterior[j] | (i < j)) & (region[i] | region[j])
+            i, j = i[keep], j[keep]
+            # the sum over axes equals np.sum over a last axis of length 1 or 2 bit for bit
+            dist = np.sqrt(sum((x[i] - x[j]) ** 2 for x in coords))
+            keep = dist <= limit
+            return i[keep], j[keep], dist[keep]
+
+        n, blocks = fill_blocks(len(inner), len(offsets), lambda rows: len(pairs(rows)[0]))
+        self.i, self.j = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+        self.p, self.coeff = np.empty(n), np.empty(n)
+        for rows, out in blocks:
+            i, j, dist = pairs(rows)
+            self.i[out], self.j[out] = i, j
+            self.p[out] = field.eval(grid.nodes[i], grid.nodes[j])
+            self.coeff[out] = grid.measure**2 * dist ** -(grid.dim + self.s * self.p[out])
+
+    def row_pair_blocks(self, rows: np.ndarray):
+        """Slices of the pair list covering the pairs whose node ``i`` lies in the node mask ``rows``.
+
+        A slice holds the whole rows of consecutive nodes, ``_BLOCK_PAIRS``
+        pairs or one row at most, so it depends only on those rows: every
+        kernel whose region covers them gives the same slices.
+        """
+        nodes = np.flatnonzero(rows & self.grid.interior)
+        lo = np.searchsorted(self.i, nodes, "left").tolist()
+        hi = np.searchsorted(self.i, nodes, "right").tolist()
+        nodes = nodes.tolist()
+        start = 0
+        for k in range(1, len(nodes) + 1):
+            if k == len(nodes) or nodes[k] != nodes[k - 1] + 1 or hi[k] - lo[start] > exponents._BLOCK_PAIRS:
+                yield slice(lo[start], hi[k - 1])
+                start = k
 
     # -- energy and its gradient ---------------------------------------
 
@@ -81,19 +122,29 @@ class PairKernel:
         return np.bincount(self.i, flux, n) - np.bincount(self.j, flux, n)
 
     def operator(self, u: np.ndarray) -> np.ndarray:
-        """Nodal operator values L(u)_k; meaningful on interior nodes."""
+        """Nodal operator values L(u)_k; meaningful on interior nodes of the region."""
         return self.gradient(u) / (2.0 * self.grid.measure)
 
-    def operator_at(self, u: np.ndarray, i: int) -> float:
-        if not self.grid.interior[i]:
-            raise ValueError("operator is evaluated at interior nodes")
-        return float(self.operator(u)[i])
+    def weak_residual(self, u: np.ndarray, phi: np.ndarray):
+        """Bilinear pairing E(u, phi) = gradient(u) . phi for phi vanishing off the region's interior nodes.
 
-    def weak_residual(self, u: np.ndarray, phi: np.ndarray) -> float:
-        """Bilinear pairing E(u, phi) = gradient(u) . phi for phi vanishing off the interior."""
-        if np.any(np.abs(phi[self.grid.exterior]) > 0):
-            raise ValueError("test function must vanish on non-interior nodes")
-        return float(self.gradient(u) @ phi)
+        ``phi`` is one test function, giving one value, or a stack of them
+        (rows), giving a list.  The gradient is accumulated block by block in
+        pair order, which reproduces :meth:`gradient` bit for bit without
+        pair-sized temporaries.
+        """
+        phi = np.asarray(phi, dtype=float)
+        if np.any(np.abs(phi[..., ~(self.region & self.grid.interior)]) > 0):
+            raise ValueError("test function must vanish off the interior nodes of the kernel's region")
+        n = self.grid.n_nodes
+        out, into = np.zeros(n), np.zeros(n)
+        for part in row_blocks(len(self.i)):
+            i, j = self.i[part], self.j[part]
+            flux = 2.0 * self.coeff[part] * _signed_power(u[i] - u[j], self.p[part])
+            np.add.at(out, i, flux)
+            np.add.at(into, j, flux)
+        g = out - into
+        return float(g @ phi) if phi.ndim == 1 else [float(g @ row) for row in phi]
 
     def residual_norm(self, u: np.ndarray) -> float:
         """max over interior nodes of |m_k L(u)_k| (weighted nodal residual)."""
@@ -124,8 +175,7 @@ def tail(grid: Grid, field, s: float, u: np.ndarray, x0, radius: float,
     inner boundary.  The report carries the analytic bound on what the box
     truncation dropped, valid for data bounded by max |u| on the collar.
     ``sign`` is one of plus, minus and abs, giving one report, or a
-    sequence of them, giving a list of reports that share the exponent and
-    kernel table.
+    sequence of them, giving a list of reports whose sums share one sweep.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not radius < grid.room(x0):
@@ -135,15 +185,14 @@ def tail(grid: Grid, field, s: float, u: np.ndarray, x0, radius: float,
         raise ValueError("sign must be plus, minus, or abs")
 
     sup_r = radius if sup_radius is None else float(sup_radius)
-    xs, sums_of = _tail_sums(grid, field, s, x0, radius, sup_r)
+    data = [np.abs(u) if sg == "abs" else np.maximum(u if sg == "plus" else -u, 0.0) for sg in signs]
+    xs, sums = _tail_sums(grid, field, s, x0, radius, sup_r, data)
     # dropped mass beyond the outermost kept cells, for collar-bounded data
     trunc_r = float(np.min(grid.r_trunc - np.abs(x0 - grid.center)) + grid.h / 2)
     surf = SPHERE_MEASURE[grid.dim]
 
-    def report(sg: str) -> TailReport:
-        uy = np.abs(u) if sg == "abs" else np.maximum(u if sg == "plus" else -u, 0.0)
-        sums = sums_of(uy)
-        k = int(np.argmax(sums))
+    def report(sg: str, uy: np.ndarray, row: np.ndarray) -> TailReport:
+        k = int(np.argmax(row))
         m = float(np.max(uy[grid.exterior])) if np.any(grid.exterior) else 0.0
         mpow = max(m ** (field.p_min - 1.0), m ** (field.p_max - 1.0))
         if trunc_r >= 1.0:
@@ -154,23 +203,27 @@ def tail(grid: Grid, field, s: float, u: np.ndarray, x0, radius: float,
                 + 1.0 / (s * field.p_min)
             )
         return TailReport(
-            value=float(sums[k]),
+            value=float(row[k]),
             argmax_x=xs[k].copy(),
             truncation_radius=trunc_r,
             remainder_bound=float(remainder),
             sign=sg,
         )
 
-    return report(sign) if isinstance(sign, str) else [report(sg) for sg in signs]
+    reports = [report(*args) for args in zip(signs, data, sums)]
+    return reports[0] if isinstance(sign, str) else reports
 
 
 def _tail_sums(grid: Grid, field, s: float, x0: np.ndarray, radius: float,
-               sup_radius: float, reach: float = 1.0):
-    """The nodes x of B_sup_radius(x0) and the map from data to their sums in :func:`tail`'s quadrature.
+               sup_radius: float, data, reach: float = 1.0):
+    """The nodes x of B_sup_radius(x0) and the sums of :func:`tail`'s quadrature there.
 
-    The exponents and kernel powers do not depend on the data and are
-    computed here once.  Every distance |y - x0| is divided by ``reach``;
-    the recentred far kernel of the level-set estimate uses reach > 1.
+    ``data`` is a sequence of nonnegative nodal vectors; the result holds
+    one row of sums per vector.  The exponents and kernel powers do not
+    depend on the data: they are computed once per block of x rows and
+    shared by every vector.  Every distance |y - x0| is divided by
+    ``reach``; the recentred far kernel of the level-set estimate uses
+    reach > 1.
     """
     dist0 = np.sqrt(np.sum((grid.nodes - x0) ** 2, axis=1))
     frac = np.clip((dist0 - radius) / grid.h + 0.5, 0.0, 1.0)
@@ -183,8 +236,14 @@ def _tail_sums(grid: Grid, field, s: float, x0: np.ndarray, radius: float,
 
     xs = grid.nodes[xsel]
     ys = grid.nodes[ysel]
-    pxy = np.asarray(field.eval(xs[:, None, :], ys[None, :, :]))
-    expo = pxy - 1.0
-    power = (dist0[ysel][None, :] / reach) ** (grid.dim + s * pxy)
+    uys = [np.asarray(v)[ysel] for v in data]
+    reached = dist0[ysel] / reach
     weights = weights[ysel]
-    return xs, lambda uy: (uy[ysel][None, :] ** expo / power) @ weights
+    sums = np.empty((len(uys), len(xs)))
+    for rows in row_blocks(len(xs), len(ys)):
+        pxy = np.asarray(field.eval(xs[rows, None, :], ys[None, :, :]))
+        expo = pxy - 1.0
+        power = reached ** (grid.dim + s * pxy)
+        for row, uy in zip(sums, uys):
+            row[rows] = np.sum(uy ** expo / power * weights, axis=1)
+    return xs, sums

@@ -137,9 +137,9 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     """Level-set energy estimate for w_+ = (u - k)_+ on B_r within B_R.
 
     ``k`` is one level, giving one report, or a sequence of levels, giving a
-    list of reports that share the parts not depending on the level: the
-    pair selections, the flat kernel, the far-kernel table, the ball
-    exponents and the cut-off.
+    list of reports from one sweep: the pair selections, the flat kernel,
+    the far kernel, the ball exponents and the cut-off do not depend on the
+    level.
 
     All pair sums run over the grid's admissible interaction set, which is
     exactly the set the discrete weak form controls; with the interaction
@@ -147,6 +147,11 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     far term sums every grid node outside B_R against the recentred kernel
     weight (2R/(R-r))^(dim + s p) / |y - x0|^(dim + s p), a superset of the
     admissible far pairs, so the bound direction is preserved.
+
+    Every selected pair has its node ``i`` in B_R, so the sums sweep the
+    kernel's B_R rows in blocks (:meth:`PairKernel.row_pair_blocks`), and
+    any kernel holding the pairs that touch B_R gives the same reports; the
+    default builds only those.
 
     ``c_explicit`` is assembled from the proof chain: the algebraic-
     inequality constant against the cutoff slope bound (Lipschitz constant
@@ -161,64 +166,71 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
         raise GridGeometryError("need 0 < r < R")
     if not R < grid.room(x0):
         raise GridGeometryError("outer ball must be contained in the domain")
-    kernel = PairKernel(grid, field, s) if kernel is None else kernel
-
-    # level-free parts: pair selections, flat kernel, far-kernel table, ball exponents, cut-off
     inner = ball_mask(grid, x0, r)
     outer = ball_mask(grid, x0, R)
-    i, j, p, coeff = kernel.i, kernel.j, kernel.p, kernel.coeff
-
-    sel = inner[i] & inner[j]
-    mod_i, mod_j, mod_p, mod_coeff = i[sel], j[sel], p[sel], coeff[sel]
-    # each unordered pair enters the ordered-pair sums in both orientations;
-    # cross pairs (a, b) have a in B_r and b in B_R
-    crosses = []
-    for a, b in ((i, j), (j, i)):
-        sel = inner[a] & outer[b]
-        crosses.append((a[sel], b[sel], coeff[sel], p[sel] - 1.0))
-
-    sel = outer[i] & outer[j]
-    flat_i, flat_j, flat_p = i[sel], j[sel], p[sel]
-    flat_dist = np.sqrt(np.sum((grid.nodes[flat_i] - grid.nodes[flat_j]) ** 2, axis=-1))
-    flat_kern = flat_dist ** ((1.0 - s) * flat_p - grid.dim)
-
-    # far factor: the tail of w_+ beyond B_R, sup over B_((R+r)/2)
-    _, far_sums = _tail_sums(grid, field, s, x0, R, (R + r) / 2.0, reach=2.0 * R / (R - r))
+    kernel = PairKernel(grid, field, s, outer) if kernel is None else kernel
+    if not np.all(kernel.region[outer & grid.interior]):
+        raise ValueError("the kernel must hold every pair that touches B_R")
 
     ext = extrema_over_product(field, grid.nodes[outer], grid.nodes[outer])
     p_minus, p_plus = ext.p_minus, ext.p_plus
     c_branch = min(0.5, 2.0 ** (p_minus - 2.0))
     c_explicit = max(2.0**p_plus * algebraic_constant(p_minus, p_plus), 2.0) / c_branch
 
+    levels = [k] if np.ndim(k) == 0 else list(k)
+    w_plus = np.array([truncate_level(u, level, "plus") for level in levels])
+    w_minus = np.array([truncate_level(u, level, "minus") for level in levels])
+    wr = w_plus / (R - r)
+
+    # the pair sums of the estimate, one value per level
+    def modular(a, b, p, coeff):
+        return [np.sum(coeff * np.abs(wp[a] - wp[b]) ** p) for wp in w_plus]
+
+    def cross(a, b, p, coeff):
+        e = p - 1.0
+        return [np.sum(coeff * wp[a] * wm[b] ** e) for wp, wm in zip(w_plus, w_minus)]
+
+    def flat(a, b, p, coeff):
+        dist = np.sqrt(np.sum((grid.nodes[a] - grid.nodes[b]) ** 2, axis=-1))
+        kern = dist ** ((1.0 - s) * p - grid.dim)
+        return [np.sum((wl[a] ** p + wl[b] ** p) * kern) for wl in wr]
+
+    # (sum, terms, a in, b in, orientation): each unordered pair enters the
+    # ordered-pair sums in both orientations; cross pairs (a, b) have a in B_r and b in B_R
+    selections = ((0, modular, inner, inner, False), (1, cross, inner, outer, False),
+                  (1, cross, inner, outer, True), (2, flat, outer, outer, False))
+    sums = np.zeros((3, len(levels)))  # per level: modular, cross and flat (local) pair sums
+    for part in kernel.row_pair_blocks(outer):
+        for row, terms, first, second, swap in selections:
+            a, b = (kernel.j[part], kernel.i[part]) if swap else (kernel.i[part], kernel.j[part])
+            sel = first[a] & second[b]
+            sums[row] += terms(a[sel], b[sel], kernel.p[part][sel], kernel.coeff[part][sel])
+
+    # far factor: the tail of w_+ beyond B_R, sup over B_((R+r)/2)
+    _, far_sums = _tail_sums(grid, field, s, x0, R, (R + r) / 2.0, w_plus, reach=2.0 * R / (R - r))
     # the proof's own test function is w_+ times this cut-off
     dist0 = np.sqrt(np.sum((grid.nodes - x0) ** 2, axis=1))
     cutoff = np.clip(((R + r) / 2.0 - dist0) / ((R - r) / 2.0), 0.0, 1.0) ** p_plus
     cutoff[~grid.interior] = 0.0
+    weak_values = kernel.weak_residual(u, w_plus * cutoff)
 
-    def at(level: float) -> CaccioppoliReport:
-        w_plus = truncate_level(u, level, "plus")
-        w_minus = truncate_level(u, level, "minus")
-        lhs_modular = 2.0 * float(np.sum(mod_coeff * np.abs(w_plus[mod_i] - w_plus[mod_j]) ** mod_p))
-        lhs_cross = sum(float(np.sum(c * w_plus[a] * w_minus[b] ** e)) for a, b, c, e in crosses)
-        wr = w_plus / (R - r)
-        rhs_local = float(grid.measure**2 * np.sum((wr[flat_i] ** flat_p + wr[flat_j] ** flat_p) * flat_kern))
-        rhs_tail = float(np.max(far_sums(w_plus))) * float(grid.measure * np.sum(w_plus[outer]))
-        weak_value = kernel.weak_residual(u, w_plus * cutoff)
-
+    reports = []
+    for n, level in enumerate(levels):
+        lhs_modular, lhs_cross = 2.0 * float(sums[0, n]), float(sums[1, n])
         lhs = lhs_modular + lhs_cross
-        rhs = c_explicit * (rhs_local + rhs_tail) + max(weak_value, 0.0) / c_branch
-        c_emp = lhs / (rhs_local + rhs_tail) if rhs_local + rhs_tail > 0 else 0.0
-        return CaccioppoliReport(
+        local = float(grid.measure**2 * sums[2, n])
+        far = float(np.max(far_sums[n])) * float(grid.measure * np.sum(w_plus[n][outer]))
+        rhs = c_explicit * (local + far) + max(weak_values[n], 0.0) / c_branch
+        reports.append(CaccioppoliReport(
             level=float(level), r=float(r), R=float(R),
             lhs_modular=lhs_modular, lhs_cross=lhs_cross,
-            rhs_local=rhs_local, rhs_tail=rhs_tail,
-            c_explicit=float(c_explicit), c_empirical=float(c_emp),
-            weak_form_value=float(weak_value),
+            rhs_local=local, rhs_tail=far,
+            c_explicit=float(c_explicit), c_empirical=float(lhs / (local + far) if local + far > 0 else 0.0),
+            weak_form_value=float(weak_values[n]),
             satisfied=bool(lhs <= rhs + 1e-12 * (1.0 + rhs)),
             p_minus=float(p_minus), p_plus=float(p_plus),
-        )
-
-    return at(k) if np.ndim(k) == 0 else [at(level) for level in k]
+        ))
+    return reports[0] if np.ndim(k) == 0 else reports
 
 
 # ---------------------------------------------------------------------------

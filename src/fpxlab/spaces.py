@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exponents import ExponentField, extrema_over_product
+from .exponents import ExponentField, extrema_over_product, fill_blocks, pairwise_sum
 from .grid import SPHERE_MEASURE, Grid
 
 __all__ = [
@@ -88,27 +88,42 @@ def region_pair_terms(u: np.ndarray, expo, order: float, grid: Grid, region_a=No
     """Terms m^2 |u_i - u_j|^e / |x_i - x_j|^(dim + order e) of a double region sum.
 
     ``expo`` is an :class:`ExponentField`, giving e = p(x_i, x_j), or a
-    constant exponent.  Coincident pairs are left out.  With one region
+    constant exponent.  A node is not paired with itself; distinct grid
+    nodes never coincide.  With one region
     (``region_b`` omitted) each unordered pair is listed once with its term
-    doubled, since both the term and the field are symmetric.  Returns the
-    terms and their exponents; the double sum is the sum of the terms.
+    doubled, since both the term and the field are symmetric.  Pairs are
+    listed row by row of region_a nodes and built block by block of rows.
+    Returns the terms and their exponents; the double sum is the sum of the
+    terms.
     """
     mask_a = _region_mask(grid, region_a)
-    xa, ua = grid.nodes[mask_a], u[mask_a]
-    if region_b is None:
-        ia, ib = np.triu_indices(len(xa), 1)
-        xb, ub, weight = xa, ua, 2.0
-    else:
-        mask_b = _region_mask(grid, region_b)
-        xb, ub, weight = grid.nodes[mask_b], u[mask_b], 1.0
-        ia, ib = np.divmod(np.arange(len(xa) * len(xb)), len(xb))
-    dist = np.sqrt(np.sum((xa[ia] - xb[ib]) ** 2, axis=-1))
-    off = dist > 0
-    ia, ib, dist = ia[off], ib[off], dist[off]
-    if isinstance(expo, ExponentField):
-        expo = np.asarray(expo.eval(xa[ia], xb[ib]))
-    du = np.abs(ua[ia] - ub[ib])
-    terms = weight * grid.measure**2 * du**expo * dist ** -(grid.dim + order * expo)
+    mask_b = mask_a if region_b is None else _region_mask(grid, region_b)
+    xa, ua, xb, ub = grid.nodes[mask_a], u[mask_a], grid.nodes[mask_b], u[mask_b]
+    field = expo if isinstance(expo, ExponentField) else None
+    if region_b is None:  # each unordered pair once, b > a
+        weight = 2.0
+
+        def kept(rows):
+            return np.arange(len(xb)) > np.arange(len(xa))[rows, None]
+    else:  # every pair of distinct nodes
+        weight = 1.0
+        nodes_a, nodes_b = np.flatnonzero(mask_a), np.flatnonzero(mask_b)
+
+        def kept(rows):
+            return nodes_a[rows, None] != nodes_b
+
+    n, blocks = fill_blocks(len(xa), len(xb), lambda rows: int(np.count_nonzero(kept(rows))))
+    terms = np.empty(n)
+    expo = expo if field is None else np.empty(n)
+    for rows, out in blocks:
+        ia, ib = np.nonzero(kept(rows))  # row-major, as the pairs are listed
+        ia += rows.start
+        dist = np.sqrt(np.sum((xa[ia] - xb[ib]) ** 2, axis=-1))
+        if field is not None:
+            expo[out] = field.eval(xa[ia], xb[ib])
+        e = expo if field is None else expo[out]
+        du = np.abs(ua[ia] - ub[ib])
+        terms[out] = weight * grid.measure**2 * du**e * dist ** -(grid.dim + order * e)
     return terms, expo
 
 
@@ -220,8 +235,13 @@ def lebesgue_norm(u, pbar, grid, region=None, tol: float = 1e-10) -> NormResult:
 
 
 def _scaled_sum(terms: np.ndarray, expo: np.ndarray, lam: float) -> float:
-    """sum_k t_k lam^(-e_k); exp of a product costs less than a power, and at lam = 1 the sum is exactly sum_k t_k."""
-    return float(np.sum(terms * np.exp(expo * -math.log(lam))))
+    """sum_k t_k lam^(-e_k); exp of a product costs less than a power, and at lam = 1 the sum is exactly sum_k t_k.
+
+    The products are formed and summed piece by piece; the sum equals
+    ``np.sum`` of the whole product bit for bit.
+    """
+    scale = -math.log(lam)
+    return pairwise_sum(lambda a, b: terms[a:b] * np.exp(expo[a:b] * scale), 0, len(terms))
 
 
 def sobolev_seminorm(u, field, s, grid, region=None, tol: float = 1e-10) -> NormResult:

@@ -213,6 +213,17 @@ def test_check_exponent_product_fails(tmp_path, capsys):
     assert not report["log_holder"]["passed"]
 
 
+def test_check_exponent_rejects_preset_with_config(config_path, tmp_path, capsys):
+    # the config names its own field; a preset beside it would be silently ignored
+    out = tmp_path / "out"
+    rc = main(["check-exponent", "--preset", "product", "--config", str(config_path), "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert set(err) == {"code", "field", "message"}
+    assert err["field"] == "preset"
+    assert not (out / "exponent.json").exists()
+
+
 def test_config_error_json(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("[problem]\nsigma = 0.9\n")

@@ -262,6 +262,39 @@ def test_log_holder_rejects_degenerate_scales(line_grid):
         check_log_holder(radial_field(), line_grid, scales=[0.1])
 
 
+class _SpyField:
+    """Records the point pairs a check evaluates; the values come from ``field``."""
+
+    def __init__(self, field):
+        self.field, self.calls = field, []
+
+    def eval(self, x, y):
+        self.calls.append(np.concatenate([x, y], axis=-1))
+        return self.field.eval(x, y)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_log_holder_direction_set(dim):
+    # the pair-space axes and the four diagonals (sx, .., sx, sy, .., sy) / sqrt(2 dim)
+    if dim == 1:
+        d = 1.0 / math.sqrt(2.0)
+        expected = [(1, 0), (0, 1), (-1, 0), (0, -1), (d, d), (d, -d), (-d, d), (-d, -d)]
+    else:
+        expected = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                    (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1),
+                    (0.5, 0.5, 0.5, 0.5), (0.5, 0.5, -0.5, -0.5),
+                    (-0.5, -0.5, 0.5, 0.5), (-0.5, -0.5, -0.5, -0.5)]
+    grid = build_grid(dim, (0.0,) * dim, (1.0,) * dim, 3.0, 25)
+    spy = _SpyField(radial_field())
+    scales = (1e-2, 1e-3)
+    check_log_holder(spy, grid, scales=scales, cap=20)
+    found = set()
+    for scale, (base, moved) in zip(sorted(scales, reverse=True), zip(spy.calls[::2], spy.calls[1::2])):
+        steps = (moved - base) / scale
+        found |= {tuple(row) for row in np.round(steps, 6)}
+    assert found == {tuple(np.round(row, 6)) for row in np.array(expected, dtype=float)}
+
+
 def test_log_holder_2d_smoke():
     grid = build_grid(2, (0.0, 0.0), (1.0, 1.0), 3.0, 25)
     rep = check_log_holder(radial_field(), grid, scales=(1e-1, 1e-2), cap=20)

@@ -123,16 +123,10 @@ def test_operator_odd_cancellation(line_grid):
 def test_operator_parabola_negative_at_center(line_grid):
     kern = PairKernel(line_grid, constant_field(2.0), 0.5)
     i0 = int(np.argmin(np.abs(line_grid.nodes[:, 0])))
-    value = kern.operator_at(line_grid.nodes[:, 0] ** 2, i0)
+    value = kern.operator(line_grid.nodes[:, 0] ** 2)[i0]
     assert value < 0.0
     # p = 2, s = 1/2 collapses the integrand to -1 on the window
     assert value == pytest.approx(-2.0 * line_grid.interaction_radius, rel=1e-12)
-
-
-def test_operator_requires_interior(line_grid):
-    kern = PairKernel(line_grid, constant_field(2.0), 0.5)
-    with pytest.raises(ValueError):
-        kern.operator_at(np.zeros(line_grid.n_nodes), 0)
 
 
 # -- weak form ----------------------------------------------------------------

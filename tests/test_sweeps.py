@@ -1,0 +1,164 @@
+"""Blocked pair sweeps: the same numbers at every block size, in bounded memory."""
+
+import time
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from fpxlab import exponents
+from fpxlab.exponents import constant_field, pairwise_sum, product_field, radial_field
+from fpxlab.grid import ball_mask, build_grid
+from fpxlab.operators import PairKernel, tail
+from fpxlab.regularity import caccioppoli_report, sup_bound_check
+from fpxlab.spaces import region_pair_terms, sobolev_seminorm
+
+FIELDS = [constant_field(2.5), radial_field(), product_field()]
+GRIDS = {
+    "line": build_grid(1, 0.0, 1.0, 2.0, 41),
+    "plane": build_grid(2, (0.0, 0.0), (1.0, 1.0), 2.0, 17),
+}
+SIGNS = ("plus", "minus", "abs")
+
+
+def smooth(grid):
+    x = grid.nodes
+    return np.sin(2.0 * x[:, 0]) + 0.3 * np.sum(x**2, axis=1) - 0.2
+
+
+def sweeps(grid, field):
+    """Every blocked sweep's output on one instance, as plain arrays and reports."""
+    u = smooth(grid)
+    kern = PairKernel(grid, field, 0.5)
+    ball = ball_mask(grid, grid.center, 0.5)
+    phi = np.where(grid.interior, np.cos(grid.nodes[:, -1]), 0.0)
+    return {
+        "kernel": (kern.i, kern.j, kern.p, kern.coeff),
+        "weak": kern.weak_residual(u, phi),
+        "weak_stack": kern.weak_residual(u, np.array([phi, u * phi])),
+        "gradient_pairing": [float(kern.gradient(u) @ v) for v in (phi, u * phi)],
+        "terms": region_pair_terms(u, field, 0.5, grid),
+        "terms_q": region_pair_terms(u, 1.5, 0.25, grid, ball),
+        "terms_ab": region_pair_terms(u, field, 0.5, grid, ball, grid.interior),
+        "seminorm": sobolev_seminorm(u, field, 0.5, grid),
+        "tails": tail(grid, field, 0.5, u, grid.center, 0.5, SIGNS),
+        "tail_each": [tail(grid, field, 0.5, u, grid.center, 0.5, sign) for sign in SIGNS],
+    }
+
+
+def same(a, b):
+    """Exact equality of nested outputs; arrays must agree in dtype and every bit."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    if hasattr(a, "__dataclass_fields__"):
+        return type(a) is type(b) and all(same(getattr(a, k), getattr(b, k)) for k in a.__dataclass_fields__)
+    return a == b and type(a) is type(b)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
+@pytest.mark.parametrize("field", FIELDS, ids=["constant", "radial", "product"])
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_sweeps_match_at_every_block_size(grid_name, field, block):
+    grid = GRIDS[grid_name]
+    reference = sweeps(grid, field)
+    with mock.patch.object(exponents, "_BLOCK_PAIRS", block):
+        blocked = sweeps(grid, field)
+    for name, value in reference.items():
+        assert same(blocked[name], value), name
+    # the sign sequence shares one sweep and gives each sign's own report
+    assert same(reference["tails"], reference["tail_each"])
+    # the blocked weak residual is the gradient's pairing, for one test function or a stack
+    assert same([reference["weak"]], reference["gradient_pairing"][:1])
+    assert same(reference["weak_stack"], reference["gradient_pairing"])
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
+def test_pairwise_sum_matches_numpy(block, rng):
+    for n in (0, 1, 7, 8, 127, 128, 129, 1000, 4097):
+        x = rng.normal(size=n) * np.exp(4.0 * rng.normal(size=n))
+        with mock.patch.object(exponents, "_BLOCK_PAIRS", block):
+            total = pairwise_sum(lambda a, b: x[a:b], 0, n)
+        assert total == np.sum(x)
+
+
+@pytest.mark.parametrize("block", [7, 64, 1 << 16])
+@pytest.mark.parametrize("field", FIELDS, ids=["constant", "radial", "product"])
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_caccioppoli_ball_kernel_matches_full_kernel(grid_name, field, block):
+    grid = GRIDS[grid_name]
+    u = smooth(grid)
+    x0, r, R = grid.center, 0.25, 0.5
+    levels = [float(np.quantile(u[grid.interior], t)) for t in (0.25, 0.5, 0.75)]
+    with mock.patch.object(exponents, "_BLOCK_PAIRS", block):
+        full = PairKernel(grid, field, 0.5)
+        ball = PairKernel(grid, field, 0.5, ball_mask(grid, x0, R))
+        reports = caccioppoli_report(u, field, 0.5, grid, x0, r, R, levels, kernel=full)
+        assert len(ball.i) < len(full.i)
+        assert caccioppoli_report(u, field, 0.5, grid, x0, r, R, levels, kernel=ball) == reports
+        assert caccioppoli_report(u, field, 0.5, grid, x0, r, R, levels) == reports
+    assert any(rep.weak_form_value != 0.0 for rep in reports)
+    # the ball kernel is the full list's subsequence of pairs touching B_R, in order
+    touch = ball_mask(grid, x0, R)
+    keep = touch[full.i] | touch[full.j]
+    for a, b in zip((full.i, full.j, full.p, full.coeff), (ball.i, ball.j, ball.p, ball.coeff)):
+        assert same(a[keep], b)
+
+
+def test_partial_kernel_refuses_sums_it_cannot_complete():
+    grid, field = GRIDS["plane"], radial_field()
+    u = smooth(grid)
+    small = PairKernel(grid, field, 0.5, ball_mask(grid, grid.center, 0.25))
+    with pytest.raises(ValueError):
+        caccioppoli_report(u, field, 0.5, grid, grid.center, 0.25, 0.5, 0.0, kernel=small)
+    phi = np.where(grid.interior, 1.0, 0.0)  # nonzero off the kernel's region
+    with pytest.raises(ValueError):
+        small.weak_residual(u, phi)
+
+
+def traced(call):
+    """(result, traced peak above the start, traced memory still held after the call)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start, held - start
+
+
+def test_analysis_working_memory_is_block_sized():
+    """Each analysis call holds what it keeps plus block-sized temporaries.
+
+    The geometry is the benchmark's ``analysis-line`` case: 180,100 kernel
+    pairs and 319,600 seminorm pairs, each several times the block size, so a
+    whole-table computation shows as tens of megabytes above the limit.
+    """
+    began = time.perf_counter()
+    grid = build_grid(1, 0.0, 1.0, 1.5, 1201)
+    field, s, x0, R = radial_field(), 0.5, np.zeros(1), 0.8
+    u = smooth(grid)
+    levels = [float(np.quantile(u[grid.interior], t)) for t in (0.25, 0.5, 0.75)]
+    limit = 16 * exponents._BLOCK_PAIRS * 8
+
+    kern, peak, held = traced(lambda: PairKernel(grid, field, s))
+    assert held >= 32 * len(kern.i)
+    assert peak - held <= limit
+    calls = {
+        "caccioppoli": lambda: caccioppoli_report(u, field, s, grid, x0, R / 2.0, R, levels, kernel=kern),
+        "tail": lambda: tail(grid, field, s, u, x0, R, SIGNS),
+        "sup_bound": lambda: sup_bound_check(u, field, s, grid, x0, 0.25, radius=R),
+    }
+    for name, call in calls.items():
+        _, peak, held = traced(call)
+        assert peak <= limit, name
+        assert held <= 64 * grid.n_nodes, name
+    # the seminorm keeps its terms and exponents for the root finder's steps
+    n = int(np.count_nonzero(grid.interior))
+    _, peak, held = traced(lambda: sobolev_seminorm(u, field, s, grid))
+    assert peak - 16 * (n * (n - 1) // 2) <= limit
+    assert held <= 64 * grid.n_nodes
+    assert time.perf_counter() - began < 2.0
