@@ -29,14 +29,14 @@ __all__ = ["main"]
 def _reuse_freed_memory() -> None:
     """Let glibc keep freed heap memory for reuse in this process; elsewhere this does nothing.
 
-    The descent allocates and frees pair-sized numpy temporaries at every
-    energy and gradient call.  glibc maps each allocation above its mmap
-    threshold afresh and hands the heap's top back to the system above its
-    trim threshold; both thresholds only rise when a large mapping is freed.
-    The kernel build sweeps in blocks and frees no such mapping, so every
-    call paid fresh page faults: a 1-D solve at 801 nodes took twice as long.
-    The values set are those glibc's own adaptive policy reaches after
-    freeing a 32 MB mapping.
+    The descent allocates and frees numpy temporaries of one pair block,
+    up to 512 KB each, at every energy and gradient call.  Under glibc's
+    defaults they exceed the initial 128 KB mmap threshold, and the heap's
+    top is handed back to the system above the trim threshold, so the
+    memory is returned and faulted in again from call to call: the 401-node
+    ``line-product`` solve made 493,000 page faults against 6,900 and took
+    twice as long.  The values set are those glibc's own adaptive policy
+    reaches after freeing a 32 MB mapping.
     """
     import ctypes  # only the solve needs it; the other commands keep their import cost
 
@@ -158,15 +158,17 @@ def _cmd_diagnose(args) -> int:
     v = u - shift  # growth/sublevel diagnostics expect nonnegative data
     h_level = float(np.max(v[ball_mask(grid, x0, radius)])) / 2.0
     if h_level <= 0:
-        delta, growth = None, None
+        growth = None
     elif dg.delta == "auto":
-        delta, growth = reg.calibrate_growth_delta(v, field, s, grid, x0, radius, sigma, q)
+        growth = reg.calibrate_growth_delta(v, field, s, grid, x0, radius, sigma, q)[1]
     else:
         scenario = reg.GrowthScenario(x0=tuple(x0), radius=radius, H=h_level,
                                       delta=float(dg.delta), gamma=dg.gamma,
                                       s=s, sigma=sigma, q=q)
         growth = reg.growth_lemma_check(v, field, s, grid, scenario)
-        delta = float(dg.delta)
+    # delta is reported only where the lemma's hypotheses and conclusion hold
+    held = growth is not None and growth.hypotheses_met and growth.conclusion_holds
+    delta = growth.scenario.delta if held else None
 
     sub_levels = [lv for lv in (np.quantile(v[grid.interior], 0.5),) if lv > 0]
     sublevel = [

@@ -45,7 +45,7 @@ class RunConfig:
 
 _GRID_KEYS = {"dim", "center", "halfwidth", "r_trunc", "nodes_per_axis"}
 _FIELD_KEYS = {"preset", "value", "table"}
-_PROBLEM_KEYS = {"s", "sigma", "q", "exterior", "grad_tol", "max_iter", "step0", "backtrack", "seed"}
+_PROBLEM_KEYS = {"s", "sigma", "q", "exterior", "grad_tol", "max_iter", "seed"}
 _DIAG_KEYS = {"center", "radius", "inner_factor", "levels", "dyadic_levels", "gamma", "delta"}
 _SECTIONS = {"grid": _GRID_KEYS, "field": _FIELD_KEYS, "problem": _PROBLEM_KEYS, "diagnostics": _DIAG_KEYS}
 
@@ -128,9 +128,6 @@ def parse_text(text: str) -> RunConfig:
     exterior = _get(sections, "problem", "exterior", str, "constant:0", problems)
     grad_tol = _get(sections, "problem", "grad_tol", float, 1e-8, problems, lambda v: v > 0, "must be positive")
     max_iter = _get(sections, "problem", "max_iter", int, 50_000, problems, lambda v: v >= 1, "must be >= 1")
-    step0 = _get(sections, "problem", "step0", float, 1.0, problems, lambda v: v > 0, "must be positive")
-    backtrack = _get(sections, "problem", "backtrack", float, 0.5, problems,
-                     lambda v: 0 < v < 1, "must lie in (0, 1)")
     seed = _get(sections, "problem", "seed", int, 0, problems, lambda v: v >= 0, "must be nonnegative")
 
     diag_center = _get(sections, "diagnostics", "center", _floats, (0.0,) * dim, problems,
@@ -168,7 +165,7 @@ def parse_text(text: str) -> RunConfig:
         s=s, sigma=sigma, q=q, dim=dim, center=center, halfwidths=halfwidth,
         r_trunc=r_trunc, nodes_per_axis=nodes, field_kind=preset,
         field_params=field_params, exterior=exterior, grad_tol=grad_tol,
-        max_iter=max_iter, step0=step0, backtrack=backtrack, seed=seed,
+        max_iter=max_iter, seed=seed,
     )
     diagnostics = DiagnosticsSpec(
         center=diag_center, radius=radius, inner_factor=inner_factor, levels=levels,
@@ -202,8 +199,7 @@ def serialize(config: RunConfig) -> str:
         "field": {"preset": sv.field_kind},
         "problem": {
             "s": sv.s, "sigma": sv.sigma, "q": sv.q, "exterior": sv.exterior,
-            "grad_tol": sv.grad_tol, "max_iter": sv.max_iter, "step0": sv.step0,
-            "backtrack": sv.backtrack, "seed": sv.seed,
+            "grad_tol": sv.grad_tol, "max_iter": sv.max_iter, "seed": sv.seed,
         },
         "diagnostics": {
             "center": tuple(dg.center), "radius": dg.radius, "inner_factor": dg.inner_factor,

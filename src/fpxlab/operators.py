@@ -112,14 +112,27 @@ class PairKernel:
 
     def energy(self, u: np.ndarray) -> float:
         """F(u): nonnegative, zero exactly for constant u."""
-        d = np.abs(u[self.i] - u[self.j])
-        return 2.0 * float(np.sum(self.coeff * d**self.p / self.p))
+        def terms(a, b):
+            d = np.abs(u[self.i[a:b]] - u[self.j[a:b]])
+            return self.coeff[a:b] * d**self.p[a:b] / self.p[a:b]
+
+        return 2.0 * exponents.pairwise_sum(terms, 0, len(self.i))
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        """dF/du_k on every node (collar entries included)."""
-        flux = 2.0 * self.coeff * _signed_power(u[self.i] - u[self.j], self.p)
+        """dF/du_k on every node (collar entries included).
+
+        The pair fluxes 2 c_ij |u_i - u_j|^(p_ij - 2) (u_i - u_j) are made
+        block by block and added to their two nodes in pair order, so every
+        temporary is block-sized and each node's sum runs in list order.
+        """
         n = self.grid.n_nodes
-        return np.bincount(self.i, flux, n) - np.bincount(self.j, flux, n)
+        out, into = np.zeros(n), np.zeros(n)
+        for part in row_blocks(len(self.i)):
+            i, j = self.i[part], self.j[part]
+            flux = 2.0 * self.coeff[part] * _signed_power(u[i] - u[j], self.p[part])
+            np.add.at(out, i, flux)
+            np.add.at(into, j, flux)
+        return out - into
 
     def operator(self, u: np.ndarray) -> np.ndarray:
         """Nodal operator values L(u)_k; meaningful on interior nodes of the region."""
@@ -129,21 +142,13 @@ class PairKernel:
         """Bilinear pairing E(u, phi) = gradient(u) . phi for phi vanishing off the region's interior nodes.
 
         ``phi`` is one test function, giving one value, or a stack of them
-        (rows), giving a list.  The gradient is accumulated block by block in
-        pair order, which reproduces :meth:`gradient` bit for bit without
-        pair-sized temporaries.
+        (rows), giving a list.  Off the region the kernel's gradient is
+        partial, so a test function reaching there is refused.
         """
         phi = np.asarray(phi, dtype=float)
         if np.any(np.abs(phi[..., ~(self.region & self.grid.interior)]) > 0):
             raise ValueError("test function must vanish off the interior nodes of the kernel's region")
-        n = self.grid.n_nodes
-        out, into = np.zeros(n), np.zeros(n)
-        for part in row_blocks(len(self.i)):
-            i, j = self.i[part], self.j[part]
-            flux = 2.0 * self.coeff[part] * _signed_power(u[i] - u[j], self.p[part])
-            np.add.at(out, i, flux)
-            np.add.at(into, j, flux)
-        g = out - into
+        g = self.gradient(u)
         return float(g @ phi) if phi.ndim == 1 else [float(g @ row) for row in phi]
 
     def residual_norm(self, u: np.ndarray) -> float:

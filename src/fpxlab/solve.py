@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .exponents import ExponentField, field_from_spec
+from .exponents import ExponentField, constant_field, field_from_spec
 from .grid import Grid, build_grid
 from .operators import PairKernel
 
@@ -39,6 +39,8 @@ __all__ = [
 
 
 ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
+STEP0 = 1.0  # first trial step
+BACKTRACK = 0.5  # step reduction factor after a rejected trial
 
 
 class NonConvergenceError(RuntimeError):
@@ -64,8 +66,6 @@ class SolveConfig:
     exterior: str = "constant:0"
     grad_tol: float = 1e-8
     max_iter: int = 50_000
-    step0: float = 1.0
-    backtrack: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -73,10 +73,6 @@ class SolveConfig:
             raise ValueError("need 0 < sigma < s < 1")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
-        if self.step0 <= 0:
-            raise ValueError("step0 must be positive")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtracking factor must lie in (0, 1)")
 
     def build_grid(self) -> Grid:
         return build_grid(self.dim, self.center, self.halfwidths, self.r_trunc, self.nodes_per_axis)
@@ -124,8 +120,7 @@ def exterior_data(spec: str, grid: Grid, seed: int = 0) -> np.ndarray:
     raise ValueError(f"unknown exterior data spec {spec!r}")
 
 
-def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int,
-            step0: float = 1.0, backtrack: float = 0.5):
+def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int):
     """Backtracking descent on interior values.
 
     A trial step u - t g is accepted when its energy does not exceed the
@@ -141,7 +136,7 @@ def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int,
     energy = kernel.energy(u)
     history = [energy]
     g = kernel.gradient(u)
-    step = step0
+    step = STEP0
     prev_u = prev_g = None
     best_u, best_residual = u, math.inf
 
@@ -170,7 +165,7 @@ def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int,
                 trial_g = kernel.gradient(trial)
                 if float(trial_g @ g) >= ARMIJO * gnorm2:
                     break
-            step *= backtrack
+            step *= BACKTRACK
         else:
             break  # no certified descent step is left in float64
         prev_u = u[free].copy()
@@ -205,18 +200,12 @@ def minimize(config: SolveConfig, grid: Grid | None = None,
     u0 = g.copy()
     u0[grid.interior] = np.mean(g[grid.exterior])
 
-    kernel = PairKernel(grid, field, config.s)
     if not (field.kind == "constant" and field.p_min == 2.0):
-        from .exponents import constant_field
+        # the p = 2 kernel lives only in this call, so it is freed before the main one is built
+        u0 = descend(PairKernel(grid, constant_field(2.0), config.s), u0, config.grad_tol, 100)[0]
 
-        quad = PairKernel(grid, constant_field(2.0), config.s)
-        u0, _, _, _ = descend(quad, u0, grad_tol=config.grad_tol, max_iter=100,
-                              step0=config.step0, backtrack=config.backtrack)
-
-    u, history, residual, iters = descend(
-        kernel, u0, config.grad_tol, config.max_iter,
-        step0=config.step0, backtrack=config.backtrack,
-    )
+    kernel = PairKernel(grid, field, config.s)
+    u, history, residual, iters = descend(kernel, u0, config.grad_tol, config.max_iter)
     result = SolveResult(u=u, iterations=iters, final_residual=residual, energy_history=history)
     if residual > config.grad_tol:
         raise NonConvergenceError(

@@ -6,7 +6,7 @@ import pytest
 
 from fpxlab.cli import main
 from fpxlab.config import ConfigError, parse_text, serialize
-from fpxlab.grid import read_grid_function
+from fpxlab.grid import read_grid_function, write_grid_function
 from fpxlab.spaces import gagliardo_modular, lebesgue_modular
 
 BASE_CONFIG = """\
@@ -72,10 +72,16 @@ def test_parse_unknown_section():
     assert any(p["field"] == "mystery" for p in err.value.problems)
 
 
-def test_parse_rejects_removed_scales_key():
+@pytest.mark.parametrize("field, value", [
+    ("diagnostics.scales", "0.1,0.01"),
+    ("problem.step0", "1"),
+    ("problem.backtrack", "0.5"),
+], ids=["scales", "step0", "backtrack"])
+def test_parse_rejects_removed_scales_key(field, value):
+    section, key = field.split(".")
     with pytest.raises(ConfigError) as err:
-        parse_text("[diagnostics]\nscales = 0.1,0.01\n")
-    assert err.value.problems == [{"field": "diagnostics.scales", "message": "unknown key"}]
+        parse_text(f"[{section}]\n{key} = {value}\n")
+    assert err.value.problems == [{"field": field, "message": "unknown key"}]
 
 
 def test_serialize_round_trip():
@@ -151,6 +157,23 @@ def test_diagnose_fields(config_path, tmp_path):
     for rep in report["caccioppoli"]:
         for key in ("lhs_modular", "lhs_cross", "rhs_local", "rhs_tail", "c_explicit"):
             assert math.isfinite(rep[key])
+
+
+@pytest.mark.parametrize("height, delta", [(12.0, None), (24.0, 0.1)])
+def test_diagnose_fixed_delta_reported_only_where_lemma_holds(tmp_path, height, delta):
+    # a plateau of the given height over the domain: at 12 the scale hypothesis
+    # R^s <= delta H fails for delta = 0.1, at 24 the lemma holds
+    path = tmp_path / "run.cfg"
+    path.write_text(BASE_CONFIG.replace("preset = radial", "preset = constant") + "delta = 0.1\n")
+    grid = parse_text(path.read_text()).solve.build_grid()
+    write_grid_function(tmp_path / "u.csv", grid, np.where(grid.interior, height, 0.0))
+    assert main(["diagnose", "--config", str(path), "--input", str(tmp_path / "u.csv"),
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "diagnostics.json").read_text())
+    growth = report["growth"]
+    assert growth["scenario"]["delta"] == 0.1
+    assert growth["failed"] == ([] if delta else ["scale"])
+    assert report["growth_delta"] == delta
 
 
 def test_norms_modulars_match_library(config_path, tmp_path):

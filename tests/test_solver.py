@@ -26,8 +26,6 @@ def test_config_validation():
         make_config(sigma=0.6)  # sigma >= s
     with pytest.raises(ValueError):
         make_config(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        make_config(backtrack=1.0)
 
 
 def test_constant_data_is_exact(line_grid):

@@ -12,6 +12,7 @@ from fpxlab.exponents import constant_field, pairwise_sum, product_field, radial
 from fpxlab.grid import ball_mask, build_grid
 from fpxlab.operators import PairKernel, tail
 from fpxlab.regularity import caccioppoli_report, sup_bound_check
+from fpxlab.solve import SolveConfig, minimize
 from fpxlab.spaces import region_pair_terms, sobolev_seminorm
 
 FIELDS = [constant_field(2.5), radial_field(), product_field()]
@@ -35,6 +36,7 @@ def sweeps(grid, field):
     phi = np.where(grid.interior, np.cos(grid.nodes[:, -1]), 0.0)
     return {
         "kernel": (kern.i, kern.j, kern.p, kern.coeff),
+        "energy": kern.energy(u),
         "weak": kern.weak_residual(u, phi),
         "weak_stack": kern.weak_residual(u, np.array([phi, u * phi])),
         "gradient_pairing": [float(kern.gradient(u) @ v) for v in (phi, u * phi)],
@@ -151,6 +153,8 @@ def test_analysis_working_memory_is_block_sized():
         "caccioppoli": lambda: caccioppoli_report(u, field, s, grid, x0, R / 2.0, R, levels, kernel=kern),
         "tail": lambda: tail(grid, field, s, u, x0, R, SIGNS),
         "sup_bound": lambda: sup_bound_check(u, field, s, grid, x0, 0.25, radius=R),
+        "energy": lambda: kern.energy(u),
+        "gradient": lambda: kern.gradient(u),
     }
     for name, call in calls.items():
         _, peak, held = traced(call)
@@ -162,3 +166,20 @@ def test_analysis_working_memory_is_block_sized():
     assert peak - 16 * (n * (n - 1) // 2) <= limit
     assert held <= 64 * grid.n_nodes
     assert time.perf_counter() - began < 2.0
+
+
+def test_solve_working_memory_is_one_kernel():
+    """A solve holds one kernel, a few node vectors and block-sized temporaries.
+
+    With blocks of 1,024 pairs the kernel spans many blocks, so a second
+    kernel kept alive, or a pair-sized temporary in the energy or gradient,
+    shows as tens of bytes per pair above the limit.
+    """
+    cfg = SolveConfig(s=0.5, sigma=0.25, q=1.5, nodes_per_axis=401, r_trunc=4.0,
+                      field_kind="radial", exterior="sine:1")
+    grid, block = cfg.build_grid(), 1024
+    with mock.patch.object(exponents, "_BLOCK_PAIRS", block):
+        n_pairs = len(PairKernel(grid, cfg.build_field(), cfg.s).i)
+        _, peak, _ = traced(lambda: minimize(cfg, grid=grid))
+    assert n_pairs > 16 * block
+    assert peak <= 32 * n_pairs + 16 * block * 8 + 64 * grid.n_nodes
