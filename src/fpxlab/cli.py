@@ -74,9 +74,7 @@ def _dump_json(path: Path, payload) -> None:
 
 
 def _load_run(args):
-    config = parse_config(args.config)
-    if args.seed is not None:
-        config.solve.seed = args.seed
+    config = parse_config(args.config, args.seed)
     grid = config.solve.build_grid()
     field = config.solve.build_field()
     return config, grid, field
@@ -152,7 +150,7 @@ def _cmd_diagnose(args) -> int:
 
     tails = {rep.sign: dataclasses.asdict(rep)
              for rep in tail(grid, field, s, u, x0, radius, ("plus", "minus", "abs"))}
-    sup_rep = reg.sup_bound_check(u, field, s, grid, x0, sigma, q=None, radius=radius)
+    sup_rep = reg.sup_bound_check(u, field, s, grid, x0, sigma, radius=radius)
 
     shift = float(np.min(u))
     v = u - shift  # growth/sublevel diagnostics expect nonnegative data
@@ -160,11 +158,10 @@ def _cmd_diagnose(args) -> int:
     if h_level <= 0:
         growth = None
     elif dg.delta == "auto":
-        growth = reg.calibrate_growth_delta(v, field, s, grid, x0, radius, sigma, q)[1]
+        growth = reg.calibrate_growth_delta(v, field, s, grid, x0, radius, sigma)[1]
     else:
         scenario = reg.GrowthScenario(x0=tuple(x0), radius=radius, H=h_level,
-                                      delta=float(dg.delta), gamma=dg.gamma,
-                                      s=s, sigma=sigma, q=q)
+                                      delta=float(dg.delta), gamma=dg.gamma, sigma=sigma)
         growth = reg.growth_lemma_check(v, field, s, grid, scenario)
     # delta is reported only where the lemma's hypotheses and conclusion hold
     held = growth is not None and growth.hypotheses_met and growth.conclusion_holds
@@ -239,7 +236,7 @@ def _cmd_check_exponent(args) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fpxlab", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
+    parser.add_argument("--seed", type=int, default=None, help="override the configured seed (problem.seed)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="minimise the energy for the configured data")

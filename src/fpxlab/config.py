@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .solve import SolveConfig
+from .grid import GridGeometryError, node_spacing
+from .solve import SolveConfig, parse_exterior
 
 __all__ = ["RunConfig", "DiagnosticsSpec", "ConfigError", "parse_config", "parse_text", "serialize"]
 
@@ -96,9 +97,17 @@ def _floats(raw) -> tuple:
     return tuple(float(part) for part in str(raw).split(","))
 
 
-def parse_text(text: str) -> RunConfig:
+def _exterior(raw: str) -> str:
+    parse_exterior(raw)  # raises ValueError unless exterior_data accepts the spec
+    return raw
+
+
+def parse_text(text: str, seed: int | None = None) -> RunConfig:
+    """Parse and validate a configuration; ``seed``, when given, replaces ``problem.seed``."""
     problems: list = []
     sections = _read_sections(text, problems)
+    if seed is not None:
+        sections.setdefault("problem", {})["seed"] = str(seed)
 
     dim = _get(sections, "grid", "dim", int, 1, problems, lambda v: v in (1, 2), "dim must be 1 or 2")
     center = _get(sections, "grid", "center", _floats, (0.0,) * dim, problems,
@@ -110,6 +119,11 @@ def parse_text(text: str) -> RunConfig:
                  lambda v: v >= 9 and v % 2 == 1, "must be odd and >= 9")
     if not problems and r_trunc <= math.sqrt(sum(x**2 for x in halfwidth)):
         problems.append({"field": "grid.r_trunc", "message": "must exceed the domain circumradius"})
+    elif not problems:
+        try:
+            node_spacing(halfwidth, r_trunc, nodes)
+        except GridGeometryError as err:
+            problems.append({"field": "grid.halfwidth", "message": str(err)})
 
     preset = _get(sections, "field", "preset", str, "constant", problems,
                   lambda v: v in ("constant", "radial", "product", "tabulated"), "unknown preset")
@@ -125,7 +139,7 @@ def parse_text(text: str) -> RunConfig:
     if sigma is not None and s is not None and not sigma < s:
         problems.append({"field": "problem.sigma", "message": "must be smaller than s"})
     q = _get(sections, "problem", "q", float, 1.25, problems, lambda v: v >= 1, "must be >= 1")
-    exterior = _get(sections, "problem", "exterior", str, "constant:0", problems)
+    exterior = _get(sections, "problem", "exterior", _exterior, "constant:0", problems)
     grad_tol = _get(sections, "problem", "grad_tol", float, 1e-8, problems, lambda v: v > 0, "must be positive")
     max_iter = _get(sections, "problem", "max_iter", int, 50_000, problems, lambda v: v >= 1, "must be >= 1")
     seed = _get(sections, "problem", "seed", int, 0, problems, lambda v: v >= 0, "must be nonnegative")
@@ -174,9 +188,9 @@ def parse_text(text: str) -> RunConfig:
     return RunConfig(solve=solve, diagnostics=diagnostics)
 
 
-def parse_config(path) -> RunConfig:
+def parse_config(path, seed: int | None = None) -> RunConfig:
     with open(path) as fh:
-        return parse_text(fh.read())
+        return parse_text(fh.read(), seed)
 
 
 def _fmt(value) -> str:

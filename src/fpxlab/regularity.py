@@ -336,23 +336,19 @@ class SupBoundReport:
     average_term: float
     tail_term: float
     c_empirical: float
-    c_reference: float | None
-    passed: bool
     reason: str = ""
 
 
 def sup_bound_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid, x0,
-                    sigma: float, q: float | None = None, radius: float | None = None,
-                    c_ref: float | None = None) -> SupBoundReport:
+                    sigma: float, radius: float | None = None) -> SupBoundReport:
     """Bound sup u over B_(R/2) by averages of u_+ plus tail and unit terms.
 
     The working radius shrinks from ``radius`` (default: most of the room
     available at x0) through a geometric ladder until the ball exponents
     satisfy p_+ < p_-^* = dim p_- / (dim - sigma p_-), taking the largest
-    admissible sampled radius; when q is not supplied it is placed mid-way
-    inside its admissible window.  The bound's constant is existential, so
-    the report carries the smallest empirical constant; ``passed`` uses
-    ``c_ref`` when given and is trivially true otherwise.
+    admissible sampled radius, with q placed mid-way inside its admissible
+    window.  The bound's constant is existential, so the report only fits
+    it: ``c_empirical`` is the smallest constant the instance supports.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not 0.0 < sigma < s < 1.0:
@@ -372,14 +368,13 @@ def sup_bound_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid, x
             continue
         p_star = grid.dim * ext.p_minus / (grid.dim - sigma * ext.p_minus)
         q_low = max(ext.p_plus, grid.dim / (grid.dim - sigma))
-        if ext.p_plus < p_star and q_low < p_star:
-            qt = 0.5 * (q_low + p_star) if q is None else q
-            if q_low < qt < p_star:
-                chosen = (rt, qt, ext.p_minus, ext.p_plus)
-                break
+        qt = 0.5 * (q_low + p_star)
+        if ext.p_plus < p_star and q_low < qt < p_star:
+            chosen = (rt, qt, ext.p_minus, ext.p_plus)
+            break
     if chosen is None:
-        return SupBoundReport(False, 0.0, q or 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                              c_ref, False, reason="no admissible radius/q on the grid")
+        return SupBoundReport(False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                              reason="no admissible radius/q on the grid")
     rt, qt, p_minus, p_plus = chosen
 
     half = ball_mask(grid, x0, rt / 2.0)
@@ -393,15 +388,11 @@ def sup_bound_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid, x
     tail_term = t_rep.value ** (1.0 / (p_plus - 1.0))
     numer = max(lhs_sup - tail_term - 1.0, 0.0)
     c_emp = numer / average_term if average_term > 0 else 0.0
-    if c_ref is None:
-        passed = True
-    else:
-        passed = lhs_sup <= c_ref * average_term + tail_term + 1.0 + 1e-12
     return SupBoundReport(
         applicable=True, radius=float(rt), q=float(qt),
         p_minus=float(p_minus), p_plus=float(p_plus),
         lhs_sup=lhs_sup, average_term=float(average_term), tail_term=float(tail_term),
-        c_empirical=float(c_emp), c_reference=c_ref, passed=bool(passed),
+        c_empirical=float(c_emp),
     )
 
 
@@ -417,9 +408,7 @@ class GrowthScenario:
     H: float
     delta: float
     gamma: float
-    s: float
     sigma: float
-    q: float
 
     def __post_init__(self):
         if self.H <= 0:
@@ -430,8 +419,6 @@ class GrowthScenario:
             raise ValueError("need gamma in (0, 1)")
         if not 0.0 < self.radius < 1.0:
             raise ValueError("need radius in (0, 1)")
-        if not 0.0 < self.sigma < self.s < 1.0:
-            raise ValueError("need 0 < sigma < s < 1")
 
 
 @dataclass
@@ -456,8 +443,11 @@ def growth_lemma_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     B_(R/2) by measure; H^(p_+ - p_-) <= 2; p_+ < p_-^*; R^s <= delta H; and
     the far-field smallness bound on the negative part.  When all hold, the
     conclusion min u >= delta H over B_(R/4) is asserted; otherwise the
-    failing hypotheses are reported and nothing is claimed.
+    failing hypotheses are reported and nothing is claimed.  The scenario's
+    sigma must lie in (0, s) for the order ``s`` of the check.
     """
+    if not 0.0 < scenario.sigma < s < 1.0:
+        raise ValueError("need 0 < sigma < s < 1")
     x0 = np.atleast_1d(np.asarray(scenario.x0, dtype=float))
     R, H, delta = scenario.radius, scenario.H, scenario.delta
     if not R < grid.room(x0):
@@ -500,7 +490,7 @@ def growth_lemma_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid
 
 
 def calibrate_growth_delta(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
-                           x0, radius: float, sigma: float, q: float):
+                           x0, radius: float, sigma: float):
     """Find the largest positivity constant delta that the instance supports.
 
     H and gamma are measured from the data (H = sup u / 2 over the ball,
@@ -528,8 +518,7 @@ def calibrate_growth_delta(u: np.ndarray, field: ExponentField, s: float, grid: 
     while delta > 0 and quarter_min < delta * h_level - _GROWTH_TOL:
         delta = float(np.nextafter(delta, 0.0))
     scenario = GrowthScenario(x0=tuple(x0), radius=radius, H=h_level,
-                              delta=delta if delta > 0 else 0.125,
-                              gamma=gamma, s=s, sigma=sigma, q=q)
+                              delta=delta if delta > 0 else 0.125, gamma=gamma, sigma=sigma)
     report = growth_lemma_check(u, field, s, grid, scenario)
     feasible = report.hypotheses_met and report.conclusion_holds
     return (delta if feasible else None), report
@@ -548,20 +537,18 @@ class SublevelReport:
     envelope: float
     sublevel_measure: float
     c_empirical: float
-    c_reference: float | None
-    passed: bool
 
 
 def sublevel_energy_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
-                          x0, radius: float, level: float, sigma: float, q: float,
-                          c_ref: float | None = None) -> SublevelReport:
+                          x0, radius: float, level: float, sigma: float, q: float) -> SublevelReport:
     """Constant-exponent seminorm of (u - level)_- against sublevel mass.
 
     lhs = [(u - level)_-]^q in the order-sigma, exponent-q Gagliardo sense
     over B_(R/2); the competing envelope is level^q R^(-sigma q) times the
     largest of |A|, |A|^(1 + q/p_- - q/p_+), |A|^(1 + q/p_+ - q/p_-) where
     A collects B_R nodes strictly below the level (ties count as not
-    below).  The constant is fitted, mirroring its existential status.
+    below).  The constant is existential, so the report only fits it:
+    ``c_empirical`` = lhs / envelope.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not radius < grid.room(x0):
@@ -581,11 +568,9 @@ def sublevel_energy_check(u: np.ndarray, field: ExponentField, s: float, grid: G
                    a_measure ** (1.0 + q / ext.p_plus - q / ext.p_minus)) if a_measure > 0 else 0.0
     denom = level**q * radius ** (-sigma * q) * envelope
     c_emp = lhs / denom if denom > 0 else 0.0
-    passed = True if c_ref is None else lhs <= c_ref * denom + 1e-12
     return SublevelReport(
         level=float(level), radius=float(radius), lhs=lhs, envelope=float(denom),
         sublevel_measure=a_measure, c_empirical=float(c_emp),
-        c_reference=c_ref, passed=bool(passed),
     )
 
 

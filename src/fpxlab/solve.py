@@ -35,6 +35,7 @@ __all__ = [
     "descend",
     "comparison_check",
     "exterior_data",
+    "parse_exterior",
 ]
 
 
@@ -89,6 +90,20 @@ class SolveResult:
     energy_history: np.ndarray
 
 
+def parse_exterior(spec: str) -> tuple:
+    """Kind and number of an exterior data spec (see :func:`exterior_data`).
+
+    The number is None for ``linear`` and ``sign``.  Raises ValueError for
+    an unknown kind or a number that does not parse or is not finite.
+    """
+    kind, colon, arg = spec.partition(":")
+    if kind in ("linear", "sign") and not colon:
+        return kind, None
+    if kind in ("constant", "sine", "random") and colon and math.isfinite(float(arg)):
+        return kind, float(arg)
+    raise ValueError(f"unknown exterior data spec {spec!r}")
+
+
 def exterior_data(spec: str, grid: Grid, seed: int = 0) -> np.ndarray:
     """Nodal collar data from a textual spec.
 
@@ -97,27 +112,24 @@ def exterior_data(spec: str, grid: Grid, seed: int = 0) -> np.ndarray:
     bounded by amp).  Values are produced on every node; the solver only
     reads the collar entries.
     """
+    kind, value = parse_exterior(spec)
     x = grid.nodes[:, 0]
-    if spec.startswith("constant:"):
-        return np.full(grid.n_nodes, float(spec.split(":", 1)[1]))
-    if spec == "linear":
+    if kind == "constant":
+        return np.full(grid.n_nodes, value)
+    if kind == "linear":
         return x.copy()
-    if spec == "sign":
+    if kind == "sign":
         return np.sign(x)
-    if spec.startswith("sine:"):
-        k = float(spec.split(":", 1)[1])
-        return np.sin(k * x)
-    if spec.startswith("random:"):
-        amp = float(spec.split(":", 1)[1])
-        rng = np.random.default_rng(seed)
-        coeffs = rng.normal(size=(2, 4))
-        waves = sum(
-            coeffs[0, k] * np.sin((k + 1) * 0.7 * x) + coeffs[1, k] * np.cos((k + 1) * 0.7 * x)
-            for k in range(4)
-        )
-        scale = np.max(np.abs(waves))
-        return amp * waves / scale if scale > 0 else np.zeros_like(waves)
-    raise ValueError(f"unknown exterior data spec {spec!r}")
+    if kind == "sine":
+        return np.sin(value * x)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(2, 4))
+    waves = sum(
+        coeffs[0, k] * np.sin((k + 1) * 0.7 * x) + coeffs[1, k] * np.cos((k + 1) * 0.7 * x)
+        for k in range(4)
+    )
+    scale = np.max(np.abs(waves))
+    return value * waves / scale if scale > 0 else np.zeros_like(waves)
 
 
 def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int):

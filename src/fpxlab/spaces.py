@@ -49,7 +49,6 @@ class ModularDivergenceError(RuntimeError):
 @dataclass
 class ModularResult:
     value: float
-    kind: str
 
     def __post_init__(self):
         if self.value < 0:
@@ -81,7 +80,7 @@ def lebesgue_modular(u: np.ndarray, pbar: np.ndarray, grid: Grid, region=None) -
     """sum over region of m |u|^pbar, pbar the diagonal exponent trace."""
     mask = _region_mask(grid, region)
     value = grid.measure * np.sum(np.abs(u[mask]) ** np.asarray(pbar)[mask])
-    return ModularResult(float(value), "lebesgue")
+    return ModularResult(float(value))
 
 
 def region_pair_terms(u: np.ndarray, expo, order: float, grid: Grid, region_a=None, region_b=None):
@@ -131,7 +130,7 @@ def gagliardo_modular(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
                       region_a=None, region_b=None) -> ModularResult:
     """Double region sum of |u_i - u_j|^p_ij / |x_i - x_j|^(dim + s p_ij)."""
     terms, _ = region_pair_terms(u, field, s, grid, region_a, region_b)
-    return ModularResult(float(np.sum(terms)), "gagliardo")
+    return ModularResult(float(np.sum(terms)))
 
 
 class _Scaling(NamedTuple):
@@ -143,8 +142,10 @@ class _Scaling(NamedTuple):
     f: float
 
 
-def luxemburg_norm(modular: Callable[[float], float], tol: float = 1e-10,
-                   max_iter: int = 200) -> NormResult:
+_MAX_EVALUATIONS = 200  # modular evaluations of a Luxemburg root search after the unit scaling
+
+
+def luxemburg_norm(modular: Callable[[float], float], tol: float = 1e-10) -> NormResult:
     """Smallest lambda with modular(lambda) <= 1 for a decreasing modular map.
 
     ``modular`` evaluates rho(u / lambda).  The result is the bracket end
@@ -156,7 +157,7 @@ def luxemburg_norm(modular: Callable[[float], float], tol: float = 1e-10,
     the root from t = 0 and Brent's method (inverse quadratic
     interpolation, secant and bisection steps) closes the bracket, so a
     norm takes a handful of evaluations where bisection takes dozens.
-    ``max_iter`` caps the evaluations after the first.
+    At most ``_MAX_EVALUATIONS`` evaluations follow the first.
     """
     base = modular(1.0)
     if base == 0.0:
@@ -183,7 +184,7 @@ def luxemburg_norm(modular: Callable[[float], float], tol: float = 1e-10,
         cur = scaling(pre.t + step)
         if (cur.f > 0.0) != (pre.f > 0.0):
             break
-        if evaluations >= max_iter:
+        if evaluations >= _MAX_EVALUATIONS:
             if cur.f > 0.0:
                 raise ModularDivergenceError("modular stayed above 1 during bracketing")
             return NormResult(float(cur.lam), (0.0, float(cur.lam)), evaluations, float(base))
@@ -200,7 +201,7 @@ def luxemburg_norm(modular: Callable[[float], float], tol: float = 1e-10,
             pre, cur, blk = cur, blk, cur
         lo, hi = (cur, blk) if cur.f > 0.0 else (blk, cur)
         if (hi.lam - lo.lam <= tol * max(1.0, hi.lam) and abs(hi.rho - 1.0) <= tol) \
-                or evaluations >= max_iter:
+                or evaluations >= _MAX_EVALUATIONS:
             return NormResult(float(hi.lam), (float(lo.lam), float(hi.lam)), evaluations, float(base))
         # a bracket of width 2 delta in t meets both conditions, since by
         # convexity 1 - rho(hi) <= |f(hi)| <= |chord slope| (t_hi - t_lo)
@@ -257,7 +258,7 @@ def combined_modular(u, field, s, grid, region=None) -> ModularResult:
         lebesgue_modular(u, pbar, grid, mask).value
         + gagliardo_modular(u, field, s, grid, mask).value
     )
-    return ModularResult(value, "combined")
+    return ModularResult(value)
 
 
 def combined_norm(u, field, s, grid, region=None, tol: float = 1e-10) -> NormResult:

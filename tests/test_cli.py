@@ -84,6 +84,21 @@ def test_parse_rejects_removed_scales_key(field, value):
     assert err.value.problems == [{"field": field, "message": "unknown key"}]
 
 
+@pytest.mark.parametrize("edit, argv, field", [
+    (("exterior = linear", "exterior = bogus"), [], "problem.exterior"),
+    (("exterior = linear", "exterior = sine:abc"), [], "problem.exterior"),
+    (("halfwidth = 1", "halfwidth = 0.99"), [], "grid.halfwidth"),  # h = 0.04 at 201 nodes
+    (None, ["--seed", "-1"], "problem.seed"),
+], ids=["exterior-kind", "exterior-number", "halfwidth-alignment", "seed"])
+def test_config_rejects_what_the_run_would_reject(tmp_path, capsys, edit, argv, field):
+    path = tmp_path / "run.cfg"
+    path.write_text(BASE_CONFIG.replace(*edit) if edit else BASE_CONFIG)
+    assert main(argv + ["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["code"] == "config"
+    assert [p["field"] for p in error["problems"]] == [field]
+
+
 def test_serialize_round_trip():
     cfg = parse_text(BASE_CONFIG)
     normalized = serialize(cfg)
@@ -157,6 +172,13 @@ def test_diagnose_fields(config_path, tmp_path):
     for rep in report["caccioppoli"]:
         for key in ("lhs_modular", "lhs_cross", "rhs_local", "rhs_tail", "c_explicit"):
             assert math.isfinite(rep[key])
+    # fitted constants carry no verdict: no pass flag, no reference constant
+    assert set(report["sup_bound"]) == {"applicable", "radius", "q", "p_minus", "p_plus", "lhs_sup",
+                                        "average_term", "tail_term", "c_empirical", "reason"}
+    assert report["sublevel"]
+    for rep in report["sublevel"]:
+        assert set(rep) == {"level", "radius", "lhs", "envelope", "sublevel_measure", "c_empirical"}
+    assert set(report["growth"]["scenario"]) == {"x0", "radius", "H", "delta", "gamma", "sigma"}
 
 
 @pytest.mark.parametrize("height, delta", [(12.0, None), (24.0, 0.1)])

@@ -135,8 +135,6 @@ def test_extrema_match_dense_product(dim, field, sizes, same, cap, block, seed):
     dense = np.asarray(field.eval(thin(a)[:, None, :], thin(b)[None, :, :]))
     assert ext.p_minus == dense.min()
     assert ext.p_plus == dense.max()
-    assert field.eval(*ext.argmin) == ext.p_minus
-    assert field.eval(*ext.argmax) == ext.p_plus
 
 
 def test_extrema_empty_rejected():

@@ -232,7 +232,7 @@ def test_sup_bound_constant(line_grid):
 def test_sup_bound_solved_instance(tall_solution):
     grid, field, cfg, result = tall_solution
     rep = sup_bound_check(result.u, field, cfg.s, grid, 0.0, sigma=cfg.sigma)
-    assert rep.applicable and rep.passed
+    assert rep.applicable
     assert np.isfinite(rep.c_empirical)
 
 
@@ -276,7 +276,7 @@ def test_growth_trivial_conclusion(line_grid):
     h_level = 6.0
     u = np.full(line_grid.n_nodes, 2.0 * h_level)
     scenario = GrowthScenario(x0=(0.0,), radius=0.5, H=h_level, delta=0.125,
-                              gamma=0.5, s=0.5, sigma=0.25, q=1.5)
+                              gamma=0.5, sigma=0.25)
     rep = growth_lemma_check(u, field, 0.5, line_grid, scenario)
     assert rep.hypotheses_met, rep.failed
     assert rep.conclusion_holds
@@ -286,7 +286,7 @@ def test_growth_scale_hypothesis_unmet(line_grid):
     field = constant_field(2.0)
     u = np.full(line_grid.n_nodes, 0.2)
     scenario = GrowthScenario(x0=(0.0,), radius=0.5, H=0.1, delta=0.125,
-                              gamma=0.5, s=0.5, sigma=0.25, q=1.5)
+                              gamma=0.5, sigma=0.25)
     rep = growth_lemma_check(u, field, 0.5, line_grid, scenario)
     assert not rep.hypotheses_met
     assert "scale" in rep.failed
@@ -294,8 +294,7 @@ def test_growth_scale_hypothesis_unmet(line_grid):
 
 def test_growth_calibrated_on_solved_instance(tall_solution):
     grid, field, cfg, result = tall_solution
-    delta, rep = calibrate_growth_delta(result.u, field, cfg.s, grid, 0.0, 0.5,
-                                        cfg.sigma, cfg.q)
+    delta, rep = calibrate_growth_delta(result.u, field, cfg.s, grid, 0.0, 0.5, cfg.sigma)
     assert delta is not None
     assert rep.hypotheses_met and rep.conclusion_holds
     assert 0.0 < delta <= 0.125
@@ -304,7 +303,14 @@ def test_growth_calibrated_on_solved_instance(tall_solution):
 def test_growth_scenario_validation():
     with pytest.raises(ValueError):
         GrowthScenario(x0=(0.0,), radius=0.5, H=1.0, delta=0.2, gamma=0.5,
-                       s=0.5, sigma=0.25, q=1.5)  # delta > 1/8
+                       sigma=0.25)  # delta > 1/8
+
+
+def test_growth_check_rejects_sigma_not_below_s(line_grid):
+    # the check validates sigma against the order it is called with
+    scenario = GrowthScenario(x0=(0.0,), radius=0.5, H=6.0, delta=0.125, gamma=0.5, sigma=0.6)
+    with pytest.raises(ValueError, match="sigma < s"):
+        growth_lemma_check(np.full(line_grid.n_nodes, 12.0), constant_field(2.0), 0.5, line_grid, scenario)
 
 
 def test_growth_variable_exponent_instance():
@@ -316,8 +322,7 @@ def test_growth_variable_exponent_instance():
     g = 6.0 + 2.0 * np.sin(2.0 * grid.nodes[:, 0])
     result = minimize(cfg, grid=grid, field=field, g=g)
     assert np.all(result.u > 0)
-    delta, rep = calibrate_growth_delta(result.u, field, cfg.s, grid, 0.0, 0.1,
-                                        cfg.sigma, cfg.q)
+    delta, rep = calibrate_growth_delta(result.u, field, cfg.s, grid, 0.0, 0.1, cfg.sigma)
     assert delta is not None, rep.failed
     assert rep.hypotheses_met and rep.conclusion_holds
 
@@ -355,7 +360,7 @@ def ramp_instance():
 @pytest.mark.parametrize("scale", [10.1, 9.9])  # at 9.9 the formula rounds past the conclusion
 def test_growth_delta_is_closed_form(scale):
     grid, field, cfg, result = _ramp_instance(scale)
-    delta, rep = calibrate_growth_delta(result.u, field, cfg.s, grid, 0.0, 0.5, cfg.sigma, cfg.q)
+    delta, rep = calibrate_growth_delta(result.u, field, cfg.s, grid, 0.0, 0.5, cfg.sigma)
     quarter_min = float(np.min(result.u[ball_mask(grid, np.zeros(1), 0.125)]))
     formula = (quarter_min + 1e-12) / rep.scenario.H
     assert delta is not None and 1.0 / 16.0 < delta < 0.125
@@ -369,7 +374,7 @@ def test_growth_delta_is_closed_form(scale):
 ])
 def test_growth_calibration_none_when_infeasible(shift, failing, at_delta):
     grid, field, cfg, result = _ramp_instance(1.0)
-    delta, rep = calibrate_growth_delta(result.u - shift, field, cfg.s, grid, 0.0, 0.5, cfg.sigma, cfg.q)
+    delta, rep = calibrate_growth_delta(result.u - shift, field, cfg.s, grid, 0.0, 0.5, cfg.sigma)
     assert delta is None and failing in rep.failed
     assert rep.scenario.delta == pytest.approx(at_delta, rel=1e-12)
 
@@ -378,7 +383,7 @@ def test_growth_calibration_none_when_infeasible(shift, failing, at_delta):
                                               ("ramp_instance", 0.5)])
 def test_growth_calibration_agrees_with_full_check(instance, radius, request):
     grid, field, cfg, result = request.getfixturevalue(instance)
-    delta, rep = calibrate_growth_delta(result.u, field, cfg.s, grid, 0.0, radius, cfg.sigma, cfg.q)
+    delta, rep = calibrate_growth_delta(result.u, field, cfg.s, grid, 0.0, radius, cfg.sigma)
     assert delta is not None and rep.scenario.delta == delta
     full = growth_lemma_check(result.u, field, cfg.s, grid, rep.scenario)
     assert full.hypotheses == rep.hypotheses
@@ -397,7 +402,7 @@ def test_sublevel_empty_set(line_grid):
     u = np.full(line_grid.n_nodes, 5.0)
     rep = sublevel_energy_check(u, field, 0.5, line_grid, 0.0, 0.5, level=1.0,
                                 sigma=0.25, q=1.5)
-    assert rep.lhs == 0.0 and rep.sublevel_measure == 0.0 and rep.passed
+    assert rep.lhs == 0.0 and rep.sublevel_measure == 0.0
 
 
 def test_sublevel_solved_median(tall_solution):
