@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grid import GridGeometryError, node_spacing
+from .grid import GridGeometryError, ball_mask, build_grid
 from .solve import SolveConfig, parse_exterior
 
 __all__ = ["RunConfig", "DiagnosticsSpec", "ConfigError", "parse_config", "parse_text", "serialize"]
@@ -117,11 +117,12 @@ def parse_text(text: str, seed: int | None = None) -> RunConfig:
     r_trunc = _get(sections, "grid", "r_trunc", float, 4.0, problems, lambda v: v > 0, "must be positive")
     nodes = _get(sections, "grid", "nodes_per_axis", int, 201, problems,
                  lambda v: v >= 9 and v % 2 == 1, "must be odd and >= 9")
+    grid = None  # the configured grid, once the grid keys are valid
     if not problems and r_trunc <= math.sqrt(sum(x**2 for x in halfwidth)):
         problems.append({"field": "grid.r_trunc", "message": "must exceed the domain circumradius"})
     elif not problems:
         try:
-            node_spacing(halfwidth, r_trunc, nodes)
+            grid = build_grid(dim, center, halfwidth, r_trunc, nodes)
         except GridGeometryError as err:
             problems.append({"field": "grid.halfwidth", "message": str(err)})
 
@@ -144,9 +145,19 @@ def parse_text(text: str, seed: int | None = None) -> RunConfig:
     max_iter = _get(sections, "problem", "max_iter", int, 50_000, problems, lambda v: v >= 1, "must be >= 1")
     seed = _get(sections, "problem", "seed", int, 0, problems, lambda v: v >= 0, "must be nonnegative")
 
-    diag_center = _get(sections, "diagnostics", "center", _floats, (0.0,) * dim, problems,
-                       lambda v: len(v) == dim, "one entry per axis")
-    radius = _get(sections, "diagnostics", "radius", float, 0.5, problems, lambda v: v > 0, "must be positive")
+    known = len(problems)
+    # the default ball sits at the centre of the grid, at most half as wide as the domain
+    diag_center = _get(sections, "diagnostics", "center", _floats, center if grid is not None else (0.0,) * dim,
+                       problems, lambda v: len(v) == dim, "one entry per axis")
+    radius = _get(sections, "diagnostics", "radius", float,
+                  min(0.5, min(halfwidth) / 2) if grid is not None else 0.5,
+                  problems, lambda v: v > 0, "must be positive")
+    if grid is not None and len(problems) == known:
+        try:
+            ball_mask(grid, diag_center, radius)  # the rule every report applies to its ball
+        except GridGeometryError as err:
+            key = "center" if grid.room(diag_center) <= 0 else "radius"
+            problems.append({"field": f"diagnostics.{key}", "message": str(err)})
     inner_factor = _get(sections, "diagnostics", "inner_factor", float, 0.5, problems,
                         lambda v: 0 < v < 1, "must lie in (0, 1)")
     levels = _get(sections, "diagnostics", "levels", str, "quartiles", problems)

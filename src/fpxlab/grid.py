@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "GridGeometryError", "build_grid", "node_spacing", "ball_mask", "box_mask",
+__all__ = ["Grid", "GridGeometryError", "build_grid", "ball_mask", "box_mask",
            "read_grid_function", "write_grid_function", "SPHERE_MEASURE"]
 
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi}  # |S^(dim-1)|
@@ -63,24 +63,13 @@ class Grid:
         return float(np.min(self.halfwidths - np.abs(x0 - self.center)))
 
 
-def node_spacing(halfwidths, r_trunc: float, nodes_per_axis: int) -> float:
-    """Node spacing 2 r_trunc / (nodes_per_axis - 1); GridGeometryError unless it divides every halfwidth."""
-    h = 2.0 * r_trunc / (nodes_per_axis - 1)
-    ratios = np.asarray(halfwidths, dtype=float) / h
-    if np.any(np.abs(ratios - np.round(ratios)) > 1e-9):
-        raise GridGeometryError(
-            "domain halfwidths must be integer multiples of the node spacing "
-            f"h={h:.17g} so the interior measure is exact"
-        )
-    return h
-
-
 def build_grid(dim: int, center, halfwidths, r_trunc: float, nodes_per_axis: int) -> Grid:
     """Construct a grid; see module docstring for layout conventions.
 
     Requirements: dim in {1, 2}; nodes_per_axis odd and >= 9; r_trunc
     strictly larger than the domain circumradius; and each halfwidth an
-    integer multiple of the spacing (:func:`node_spacing`).
+    integer multiple of h = 2 r_trunc / (nodes_per_axis - 1).  Each violation
+    raises :class:`GridGeometryError`; the config parser builds the grid too.
     """
     if dim not in (1, 2):
         raise GridGeometryError(f"dim must be 1 or 2, got {dim}")
@@ -96,7 +85,11 @@ def build_grid(dim: int, center, halfwidths, r_trunc: float, nodes_per_axis: int
     if not r_trunc > circum:
         raise GridGeometryError("truncation radius must exceed the domain circumradius")
 
-    h = node_spacing(halfwidths, r_trunc, nodes_per_axis)
+    h = 2.0 * r_trunc / (nodes_per_axis - 1)
+    ratios = halfwidths / h
+    if np.any(np.abs(ratios - np.round(ratios)) > 1e-9):
+        raise GridGeometryError("domain halfwidths must be integer multiples of the node spacing "
+                                f"h={h:.17g} so the interior measure is exact")
     axes = [c - r_trunc + np.arange(nodes_per_axis) * h for c in center]
     grids = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
@@ -124,8 +117,15 @@ def build_grid(dim: int, center, halfwidths, r_trunc: float, nodes_per_axis: int
 
 
 def ball_mask(grid: Grid, x0, radius: float) -> np.ndarray:
-    """Boolean node mask of the closed ball B_radius(x0)."""
+    """Boolean node mask of the closed ball B_radius(x0), whose closure must lie in the domain.
+
+    The one check of that rule for every local estimate: GridGeometryError unless radius < ``grid.room(x0)``.
+    """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    room = grid.room(x0)
+    if not radius < room:
+        raise GridGeometryError(f"ball of radius {radius:.17g} at {x0.tolist()} must have its closure "
+                                f"inside the domain: radius < {room:.17g} is needed there")
     dist = np.sqrt(np.sum((grid.nodes - x0) ** 2, axis=1))
     return dist <= radius * (1 + 1e-12) + 1e-15
 

@@ -27,12 +27,17 @@ from . import exponents
 from .exponents import fill_blocks, row_blocks
 from .grid import SPHERE_MEASURE, Grid, GridGeometryError, ball_mask
 
-__all__ = ["PairKernel", "TailReport", "tail"]
+__all__ = ["PairKernel", "TailReport", "tail", "weighted_residual"]
 
 
 def _signed_power(delta: np.ndarray, expo: np.ndarray) -> np.ndarray:
     """|t|^(e-1) * sign(t), the derivative kernel of |t|^e / e, zero at t=0."""
     return np.sign(delta) * np.abs(delta) ** (expo - 1.0)
+
+
+def weighted_residual(grid: Grid, g: np.ndarray) -> float:
+    """max over interior nodes k of |g_k| / 2 = |m_k L(u)_k| for the gradient g = dF/du at u."""
+    return float(np.max(np.abs(g[grid.interior]))) / 2.0
 
 
 class PairKernel:
@@ -152,9 +157,8 @@ class PairKernel:
         return float(g @ phi) if phi.ndim == 1 else [float(g @ row) for row in phi]
 
     def residual_norm(self, u: np.ndarray) -> float:
-        """max over interior nodes of |m_k L(u)_k| (weighted nodal residual)."""
-        g = self.gradient(u)
-        return float(np.max(np.abs(g[self.grid.interior]))) / 2.0
+        """The weighted nodal residual of u (:func:`weighted_residual`)."""
+        return weighted_residual(self.grid, self.gradient(u))
 
 
 @dataclass
@@ -171,7 +175,7 @@ def tail(grid: Grid, field, s: float, u: np.ndarray, x0, radius: float,
     """Truncated tail integral of u beyond the ball B_radius(x0).
 
     Computes sup over grid nodes x in B_sup(x0) (sup_radius defaults to
-    ``radius``) of
+    ``radius``; both balls must have their closure in the domain) of
 
         sum_{|y - x0| > radius} m_y(eff) u_pm(y)^(p(x,y) - 1) / |y - x0|^(dim + s p(x,y)),
 
@@ -183,8 +187,6 @@ def tail(grid: Grid, field, s: float, u: np.ndarray, x0, radius: float,
     sequence of them, giving a list of reports whose sums share one sweep.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not radius < grid.room(x0):
-        raise GridGeometryError("tail ball must be contained in the domain")
     signs = [sign] if isinstance(sign, str) else list(sign)
     if any(sg not in ("plus", "minus", "abs") for sg in signs):
         raise ValueError("sign must be plus, minus, or abs")
@@ -235,6 +237,7 @@ def _tail_sums(grid: Grid, field, s: float, x0: np.ndarray, radius: float,
     weights = grid.measure * frac  # radial cell fraction outside the sphere
     ysel = weights > 0
 
+    ball_mask(grid, x0, max(radius, sup_radius))  # both balls need their closure in the domain
     xsel = ball_mask(grid, x0, sup_radius)
     if not np.any(xsel):
         raise GridGeometryError("no grid nodes inside the supremum ball")

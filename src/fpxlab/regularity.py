@@ -164,8 +164,6 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not 0.0 < r < R:
         raise GridGeometryError("need 0 < r < R")
-    if not R < grid.room(x0):
-        raise GridGeometryError("outer ball must be contained in the domain")
     inner = ball_mask(grid, x0, r)
     outer = ball_mask(grid, x0, R)
     kernel = PairKernel(grid, field, s, outer) if kernel is None else kernel
@@ -450,8 +448,6 @@ def growth_lemma_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid
         raise ValueError("need 0 < sigma < s < 1")
     x0 = np.atleast_1d(np.asarray(scenario.x0, dtype=float))
     R, H, delta = scenario.radius, scenario.H, scenario.delta
-    if not R < grid.room(x0):
-        raise GridGeometryError("scenario ball must be contained in the domain")
 
     b_full = ball_mask(grid, x0, R)
     b_half = ball_mask(grid, x0, R / 2.0)
@@ -551,8 +547,6 @@ def sublevel_energy_check(u: np.ndarray, field: ExponentField, s: float, grid: G
     ``c_empirical`` = lhs / envelope.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not radius < grid.room(x0):
-        raise GridGeometryError("sublevel ball must be contained in the domain")
     b_full = ball_mask(grid, x0, radius)
     b_half = ball_mask(grid, x0, radius / 2.0)
     ext = extrema_over_product(field, grid.nodes[b_full], grid.nodes[b_full])
@@ -601,8 +595,7 @@ def holder_exponent_fit(u: np.ndarray, grid: Grid, x0, radius: float,
     is constant on the base ball.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not radius < grid.room(x0):
-        raise GridGeometryError("base ball must be contained in the domain")
+    base = u[ball_mask(grid, x0, radius)]  # the domain rule comes before the resolution check
     radii = []
     for j in range(j_max + 1):
         rj = radius * 4.0**-j
@@ -613,7 +606,7 @@ def holder_exponent_fit(u: np.ndarray, grid: Grid, x0, radius: float,
         raise ResolutionError(
             f"only {len(radii)} dyadic levels above 2h; refine the grid or enlarge the ball")
     radii = np.array(radii)
-    balls = (u[ball_mask(grid, x0, rj)] for rj in radii)
+    balls = [base] + [u[ball_mask(grid, x0, rj)] for rj in radii[1:]]
     osc = np.array([float(np.max(ball) - np.min(ball)) for ball in balls])
     if osc[0] == 0.0:
         return HolderFit(x0, radius, radii, osc, math.nan, math.nan, False)

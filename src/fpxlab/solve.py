@@ -11,7 +11,7 @@ kernel is introduced, so constant data is solved exactly in zero descent
 steps.
 
 Convergence is declared on the weighted nodal residual
-max_i |m_i L(u)_i| (see :meth:`PairKernel.residual_norm`), which is stable
+max_i |m_i L(u)_i| (see :func:`operators.weighted_residual`), which is stable
 under mesh refinement, rather than on the raw gradient.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .exponents import ExponentField, constant_field, field_from_spec
 from .grid import Grid, build_grid
-from .operators import PairKernel
+from .operators import PairKernel, weighted_residual
 
 __all__ = [
     "SolveConfig",
@@ -154,7 +154,7 @@ def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int):
 
     for it in range(max_iter + 1):
         g[~free] = 0.0
-        residual = np.max(np.abs(g[free])) / 2.0
+        residual = weighted_residual(kernel.grid, g)
         if residual < best_residual:
             best_u, best_residual = u, residual
         if best_residual <= grad_tol or it == max_iter:

@@ -89,7 +89,12 @@ def test_parse_rejects_removed_scales_key(field, value):
     (("exterior = linear", "exterior = sine:abc"), [], "problem.exterior"),
     (("halfwidth = 1", "halfwidth = 0.99"), [], "grid.halfwidth"),  # h = 0.04 at 201 nodes
     (None, ["--seed", "-1"], "problem.seed"),
-], ids=["exterior-kind", "exterior-number", "halfwidth-alignment", "seed"])
+    # the diagnostics ball needs its closure inside the domain (-1, 1)
+    (("radius = 0.5", "radius = 1.5"), [], "diagnostics.radius"),
+    (("radius = 0.5", "center = 0.9\nradius = 0.5"), [], "diagnostics.radius"),
+    (("radius = 0.5", "center = 1.5\nradius = 0.5"), [], "diagnostics.center"),  # no radius fits
+], ids=["exterior-kind", "exterior-number", "halfwidth-alignment", "seed",
+        "ball-radius", "ball-near-boundary", "ball-center-outside"])
 def test_config_rejects_what_the_run_would_reject(tmp_path, capsys, edit, argv, field):
     path = tmp_path / "run.cfg"
     path.write_text(BASE_CONFIG.replace(*edit) if edit else BASE_CONFIG)
@@ -97,6 +102,23 @@ def test_config_rejects_what_the_run_would_reject(tmp_path, capsys, edit, argv, 
     error = json.loads(capsys.readouterr().err)
     assert error["code"] == "config"
     assert [p["field"] for p in error["problems"]] == [field]
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("text, center, radius", [
+    ("[grid]\ncenter = 2\n", (2.0,), 0.5),
+    ("[grid]\nhalfwidth = 0.5\nnodes_per_axis = 161\n", (0.0,), 0.25),
+], ids=["off-centre", "narrow"])
+def test_default_ball_follows_the_grid(tmp_path, text, center, radius):
+    # the default diagnostics ball is centred on the grid and fits inside it
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    diagnostics = parse_text(text).diagnostics
+    assert (diagnostics.center, diagnostics.radius) == (center, radius)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["diagnose", "--config", str(path), "--input", str(out / "solution.csv"),
+                 "--out", str(out)]) == 0
 
 
 def test_serialize_round_trip():

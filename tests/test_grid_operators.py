@@ -275,6 +275,29 @@ def test_tail_closed_form():
     assert rep.value + rep.remainder_bound >= untruncated
 
 
+def _unit_tail(field, s, r_trunc):
+    """The tail of u = 1 beyond B_0.25(0) on a box of radius r_trunc, domain (-0.5, 0.5), h = 0.01."""
+    grid = build_grid(1, 0.0, 0.5, r_trunc, int(round(2 * r_trunc / 0.01)) + 1)
+    return tail(grid, field, s, np.ones(grid.n_nodes), 0.0, 0.25)
+
+
+def test_tail_remainder_below_unit_truncation_radius():
+    # the remainder splits at r = 1 when the box stops short of it
+    s, radius = 0.4, 0.25
+    rep = _unit_tail(constant_field(2.0), s, 0.8)
+    assert rep.truncation_radius == pytest.approx(0.805, abs=1e-12)
+    assert rep.value + rep.remainder_bound >= radius ** (-2 * s) / s
+
+
+@pytest.mark.parametrize("r_trunc", [1.6, 3.2, 8.0])
+@pytest.mark.parametrize("s", [0.25, 0.4, 0.75])
+@pytest.mark.parametrize("field", [radial_field(), product_field()], ids=["radial", "product"])
+def test_tail_remainder_below_unit_radius_covers_larger_boxes(field, s, r_trunc):
+    small = _unit_tail(field, s, 0.8)
+    assert small.truncation_radius < 1.0
+    assert small.value + small.remainder_bound >= _unit_tail(field, s, r_trunc).value
+
+
 def test_tail_monotone_in_data(line_grid, rng):
     u = np.abs(rng.normal(size=line_grid.n_nodes))
     f = radial_field()

@@ -23,7 +23,7 @@ from fpxlab.regularity import (
     sup_bound_check,
     truncate_level,
 )
-from fpxlab.operators import PairKernel
+from fpxlab.operators import PairKernel, tail
 from fpxlab.solve import SolveConfig, exterior_data, minimize
 
 
@@ -488,3 +488,27 @@ def test_holder_fit_solved_smooth_data():
         alphas.append(fit.alpha)
     assert alphas[0] > 0.2 and alphas[1] > 0.2
     assert abs(alphas[0] - alphas[1]) <= 0.05
+
+
+# -- the ball rule -----------------------------------------------------------------
+
+
+_BALL_CONSUMERS = {  # (u, field, grid, x0, R): one call taking the ball B_R(x0)
+    "tail-sup-ball": lambda u, f, g, x0, R: tail(g, f, 0.5, u, x0, R / 2.0, sup_radius=R),
+    "caccioppoli": lambda u, f, g, x0, R: caccioppoli_report(u, f, 0.5, g, x0, R / 2.0, R, 1.0),
+    "sup-bound": lambda u, f, g, x0, R: sup_bound_check(u, f, 0.5, g, x0, 0.25, radius=R),
+    "growth": lambda u, f, g, x0, R: growth_lemma_check(
+        u, f, 0.5, g, GrowthScenario(x0=tuple(x0), radius=R, H=1.0, delta=0.125, gamma=0.25, sigma=0.25)),
+    "growth-calibration": lambda u, f, g, x0, R: calibrate_growth_delta(u, f, 0.5, g, x0, R, 0.25),
+    "sublevel": lambda u, f, g, x0, R: sublevel_energy_check(u, f, 0.5, g, x0, R, 1.0, sigma=0.25, q=1.5),
+    "holder": lambda u, f, g, x0, R: holder_exponent_fit(u, g, x0, R),
+}
+
+
+@pytest.mark.parametrize("consumer", list(_BALL_CONSUMERS.values()), ids=list(_BALL_CONSUMERS))
+def test_ball_consumers_reject_ball_reaching_the_boundary(line_grid, consumer):
+    # B_R(x0) with R = room touches the boundary: its closure leaves the domain
+    x0 = np.array([0.3])
+    u = 1.0 + 0.5 * np.sin(3.0 * line_grid.nodes[:, 0])
+    with pytest.raises(GridGeometryError):
+        consumer(u, constant_field(2.0), line_grid, x0, line_grid.room(x0))
