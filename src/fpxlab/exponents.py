@@ -257,16 +257,52 @@ def row_blocks(n_rows: int, row_pairs: int = 1) -> list:
     return [slice(start, start + rows) for start in range(0, n_rows, rows)]
 
 
-def fill_blocks(n_rows: int, row_pairs: int, kept) -> tuple:
-    """The row blocks of :func:`row_blocks` with the output slices they fill.
+def node_pairs(grid, rows, partners, radius: float, keep=None) -> tuple:
+    """The node pairs (i, j) with i in ``rows``, j in ``partners``, 0 < |x_i - x_j| <= radius and ``keep(i, j)``.
 
-    ``kept(rows)`` counts the entries a block contributes.  Counting first
-    lets a sweep allocate its outputs once, at their final size, and fill
-    them in a second pass.  Returns the total and (rows, output slice) pairs.
+    ``rows`` and ``partners`` are node masks; ``radius`` may be infinite.
+    The candidates of a row node are the lattice offsets k with
+    |k|^2 h^2 <= radius^2 into the partners' index box, so the count pass
+    reads integer offsets and masks alone, and only the fill pass computes
+    distances.  Both sweep the row blocks of :func:`row_blocks`; pairs come
+    row by row, ``i`` ascending, and ``j`` ascending within a row.  Returns
+    the pair count and an iterator of (output slice, i, j, distance) blocks.
     """
-    blocks = row_blocks(n_rows, row_pairs)
-    ends = np.cumsum([0] + [kept(rows) for rows in blocks])
-    return int(ends[-1]), [(rows, slice(a, b)) for rows, a, b in zip(blocks, ends[:-1], ends[1:])]
+    shape = (grid.nodes_per_axis,) * grid.dim
+    rows = np.flatnonzero(rows)
+    at = np.unravel_index(rows, shape)  # lattice index of each row node, per axis
+    box = [(a.min(), a.max()) for a in np.unravel_index(np.flatnonzero(partners), shape)]
+    # per axis, the offsets from some row node into the partners' box, none longer than the radius
+    reach = int(radius / grid.h) + 1 if math.isfinite(radius) else math.inf
+    steps = [np.arange(max(lo - a.max(), -reach), min(hi - a.min(), reach) + 1) for a, (lo, hi) in zip(at, box)]
+    offsets = np.stack(np.meshgrid(*steps, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+    length2 = np.sum(offsets**2, axis=1)
+    offsets = offsets[(length2 > 0) & (length2 * grid.h**2 <= radius**2)]
+    jumps = offsets @ grid.nodes_per_axis ** np.arange(grid.dim - 1, -1, -1)  # in the node index
+    coords = [np.ascontiguousarray(x) for x in grid.nodes.T]
+
+    def candidates(block):
+        """The in-box candidates (i, j) of the row nodes rows[block] and the mask of those kept."""
+        nodes = rows[block, None]
+        inside = np.ones((len(nodes), len(offsets)), dtype=bool)
+        for axis, step, (lo, hi) in zip(at, offsets.T, box):
+            target = axis[block, None] + step
+            inside &= (target >= lo) & (target <= hi)
+        i = np.broadcast_to(nodes, inside.shape)[inside]
+        j = (nodes + jumps)[inside]
+        return i, j, partners[j] if keep is None else partners[j] & keep(i, j)
+
+    blocks = row_blocks(len(rows), len(offsets))
+    ends = np.cumsum([0] + [np.count_nonzero(candidates(block)[2]) for block in blocks])
+
+    def fill():
+        for block, start, stop in zip(blocks, ends[:-1], ends[1:]):
+            i, j, kept = candidates(block)
+            i, j = i[kept], j[kept]
+            # the sum over axes equals np.sum over a last axis of length 1 or 2 bit for bit
+            yield slice(start, stop), i, j, np.sqrt(sum((x[i] - x[j]) ** 2 for x in coords))
+
+    return int(ends[-1]), fill()
 
 
 def pairwise_sum(values, start: int, stop: int) -> float:

@@ -94,12 +94,7 @@ def build_grid(dim: int, center, halfwidths, r_trunc: float, nodes_per_axis: int
     grids = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
 
-    # half-open domain box [c - a, c + a): lower face in, upper face out
-    eps = 1e-9 * h
-    interior = np.all(
-        (nodes >= center - halfwidths - eps) & (nodes < center + halfwidths - eps),
-        axis=1,
-    )
+    interior = _in_half_open_box(nodes, center - halfwidths, center + halfwidths, h)  # the domain box
 
     return Grid(
         dim=dim,
@@ -132,10 +127,14 @@ def ball_mask(grid: Grid, x0, radius: float) -> np.ndarray:
 
 def box_mask(grid: Grid, lo, hi) -> np.ndarray:
     """Boolean node mask of the half-open box [lo, hi)."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    eps = 1e-9 * grid.h
-    return np.all((grid.nodes >= lo - eps) & (grid.nodes < hi - eps), axis=1)
+    return _in_half_open_box(grid.nodes, np.atleast_1d(np.asarray(lo, dtype=float)),
+                             np.atleast_1d(np.asarray(hi, dtype=float)), grid.h)
+
+
+def _in_half_open_box(nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: float) -> np.ndarray:
+    """Mask of the nodes in [lo, hi) per axis, faces shifted down by 1e-9 h: the lower face in, the upper out."""
+    eps = 1e-9 * h
+    return np.all((nodes >= lo - eps) & (nodes < hi - eps), axis=1)
 
 
 def write_grid_function(path, grid: Grid, values: np.ndarray) -> None:

@@ -5,7 +5,8 @@ admissible unordered node pairs: midpoint quadrature with uniform cell
 measures, the diagonal excluded (symmetric exclusion realises the principal
 value on a uniform lattice), pairs beyond the grid's interaction radius
 dropped, and pairs with both nodes exterior dropped (they are constant with
-respect to the interior unknowns).
+respect to the interior unknowns).  The pairs come from
+:func:`~fpxlab.exponents.node_pairs`, which lists the region sums too.
 
 With coefficients
     c_ij = m_i m_j / |x_i - x_j|^(dim + s p_ij),
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exponents
-from .exponents import fill_blocks, row_blocks
+from .exponents import node_pairs, row_blocks
 from .grid import SPHERE_MEASURE, Grid, GridGeometryError, ball_mask
 
 __all__ = ["PairKernel", "TailReport", "tail", "weighted_residual"]
@@ -60,38 +61,15 @@ class PairKernel:
         self.s = float(s)
         self.region = region = grid.interior if region is None else np.asarray(region, dtype=bool)
 
-        # lattice offsets inside the interaction radius, added to the interior nodes
-        limit = grid.interaction_radius * (1 + 1e-12)
-        steps = np.arange(-int(limit / grid.h) - 1, int(limit / grid.h) + 2)
-        offsets = np.stack(np.meshgrid(*[steps] * grid.dim, indexing="ij"), axis=-1).reshape(-1, grid.dim)
-        offsets = offsets[np.sum(offsets**2, axis=1) * grid.h**2 <= (limit * (1 + 1e-9)) ** 2]
-        jumps = offsets @ grid.nodes_per_axis ** np.arange(grid.dim - 1, -1, -1)  # in the node index
-        inner = np.flatnonzero(grid.interior)
-        axes = np.unravel_index(inner, (grid.nodes_per_axis,) * grid.dim)
-        coords = [np.ascontiguousarray(x) for x in grid.nodes.T]
+        def keep(i, j):
+            """A pair of interior nodes once, from its lower index, and only with an endpoint in the region."""
+            return (grid.exterior[j] | (i < j)) & (region[i] | region[j])
 
-        def pairs(rows):
-            """The kept pairs (i, j, distance) of the interior nodes inner[rows], in list order."""
-            nodes = inner[rows, None]
-            inside = np.ones((len(nodes), len(offsets)), dtype=bool)
-            for axis, step in zip(axes, offsets.T):
-                target = axis[rows, None] + step
-                inside &= (target >= 0) & (target < grid.nodes_per_axis)
-            i = np.broadcast_to(nodes, inside.shape)[inside]
-            j = (nodes + jumps)[inside]
-            # a pair of interior nodes is kept once, from its lower index; i == j falls out too
-            keep = (grid.exterior[j] | (i < j)) & (region[i] | region[j])
-            i, j = i[keep], j[keep]
-            # the sum over axes equals np.sum over a last axis of length 1 or 2 bit for bit
-            dist = np.sqrt(sum((x[i] - x[j]) ** 2 for x in coords))
-            keep = dist <= limit
-            return i[keep], j[keep], dist[keep]
-
-        n, blocks = fill_blocks(len(inner), len(offsets), lambda rows: len(pairs(rows)[0]))
+        everywhere = np.ones(grid.n_nodes, dtype=bool)
+        n, blocks = node_pairs(grid, grid.interior, everywhere, grid.interaction_radius * (1 + 1e-12), keep)
         self.i, self.j = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
         self.p, self.coeff = np.empty(n), np.empty(n)
-        for rows, out in blocks:
-            i, j, dist = pairs(rows)
+        for out, i, j, dist in blocks:
             self.i[out], self.j[out] = i, j
             self.p[out] = field.eval(grid.nodes[i], grid.nodes[j])
             self.coeff[out] = grid.measure**2 * dist ** -(grid.dim + self.s * self.p[out])

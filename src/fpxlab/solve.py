@@ -201,8 +201,6 @@ def minimize(config: SolveConfig, grid: Grid | None = None,
     """
     grid = config.build_grid() if grid is None else grid
     field = config.build_field() if field is None else field
-    if not field.p_min > 1.0:
-        raise ValueError("exponent lower bound must exceed 1")
     if g is None:
         g = exterior_data(config.exterior, grid, config.seed)
     g = np.asarray(g, dtype=float)

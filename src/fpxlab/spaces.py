@@ -4,7 +4,8 @@ Grid functions live on :class:`~fpxlab.grid.Grid` nodes; a *region* is a
 boolean node mask.  The Lebesgue modular sums m |u|^pbar over the region
 with pbar(x) = p(x, x); the Gagliardo modular sums
 m^2 |u_i - u_j|^p_ij / |x_i - x_j|^(dim + s p_ij) over region pairs with the
-diagonal excluded.  Region sums are genuine integrals of the atomic measure
+diagonal excluded, listed by :func:`~fpxlab.exponents.node_pairs` with no
+radius.  Region sums are genuine integrals of the atomic measure
 sum_i m_i delta_{x_i}, so the modular/norm relations (the unit-ball
 trichotomy and the p_-/p_+ sandwiches) hold for them verbatim and are
 asserted by the tests rather than re-derived.
@@ -21,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exponents import ExponentField, extrema_over_product, fill_blocks, pairwise_sum
+from .exponents import ExponentField, extrema_over_product, node_pairs, pairwise_sum
 from .grid import SPHERE_MEASURE, Grid
 
 __all__ = [
@@ -87,41 +88,27 @@ def region_pair_terms(u: np.ndarray, expo, order: float, grid: Grid, region_a=No
     """Terms m^2 |u_i - u_j|^e / |x_i - x_j|^(dim + order e) of a double region sum.
 
     ``expo`` is an :class:`ExponentField`, giving e = p(x_i, x_j), or a
-    constant exponent.  A node is not paired with itself; distinct grid
-    nodes never coincide.  With one region
-    (``region_b`` omitted) each unordered pair is listed once with its term
-    doubled, since both the term and the field are symmetric.  Pairs are
-    listed row by row of region_a nodes and built block by block of rows.
-    Returns the terms and their exponents; the double sum is the sum of the
-    terms.
+    constant exponent.  The pairs are those of
+    :func:`~fpxlab.exponents.node_pairs` with rows region_a, partners
+    region_b and no radius: every pair of distinct region nodes, however far
+    apart.  With one region (``region_b`` omitted) each unordered pair is
+    listed once, i < j, with its term doubled, since both the term and the
+    field are symmetric.  Returns the terms and their exponents; the double
+    sum is the sum of the terms.
     """
     mask_a = _region_mask(grid, region_a)
     mask_b = mask_a if region_b is None else _region_mask(grid, region_b)
-    xa, ua, xb, ub = grid.nodes[mask_a], u[mask_a], grid.nodes[mask_b], u[mask_b]
     field = expo if isinstance(expo, ExponentField) else None
-    if region_b is None:  # each unordered pair once, b > a
-        weight = 2.0
-
-        def kept(rows):
-            return np.arange(len(xb)) > np.arange(len(xa))[rows, None]
-    else:  # every pair of distinct nodes
-        weight = 1.0
-        nodes_a, nodes_b = np.flatnonzero(mask_a), np.flatnonzero(mask_b)
-
-        def kept(rows):
-            return nodes_a[rows, None] != nodes_b
-
-    n, blocks = fill_blocks(len(xa), len(xb), lambda rows: int(np.count_nonzero(kept(rows))))
+    weight = 2.0 if region_b is None else 1.0
+    keep = (lambda i, j: i < j) if region_b is None else None  # one region: each unordered pair once
+    n, blocks = node_pairs(grid, mask_a, mask_b, math.inf, keep)
     terms = np.empty(n)
     expo = expo if field is None else np.empty(n)
-    for rows, out in blocks:
-        ia, ib = np.nonzero(kept(rows))  # row-major, as the pairs are listed
-        ia += rows.start
-        dist = np.sqrt(np.sum((xa[ia] - xb[ib]) ** 2, axis=-1))
+    for out, i, j, dist in blocks:
         if field is not None:
-            expo[out] = field.eval(xa[ia], xb[ib])
+            expo[out] = field.eval(grid.nodes[i], grid.nodes[j])
         e = expo if field is None else expo[out]
-        du = np.abs(ua[ia] - ub[ib])
+        du = np.abs(u[i] - u[j])
         terms[out] = weight * grid.measure**2 * du**e * dist ** -(grid.dim + order * e)
     return terms, expo
 

@@ -16,6 +16,7 @@ from fpxlab.grid import (
 )
 from fpxlab.operators import PairKernel, tail
 from fpxlab.regularity import caccioppoli_report
+from fpxlab.spaces import region_pair_terms
 
 
 # -- grid construction -------------------------------------------------------
@@ -252,6 +253,16 @@ def test_pair_list_matches_dense_oracle(dense, case):
     assert rep.lhs_modular == pytest.approx(lhs_modular, rel=1e-12)
     assert rep.lhs_cross == pytest.approx(lhs_cross, rel=1e-12)
     assert rep.rhs_local == pytest.approx(rhs_local, rel=1e-12)
+
+    # region double sums are untruncated: the dense sums over ordered pairs of distinct region nodes
+    for region_a, region_b in ((grid.interior, None), (outer, None), (outer, grid.interior)):
+        pairs = np.outer(region_a, region_a if region_b is None else region_b) & ~np.eye(grid.n_nodes, dtype=bool)
+        for expo, order in ((field, s), (1.5, 0.25)):
+            e = pmat if expo is field else expo
+            dense_terms = grid.measure**2 * np.abs(d) ** e * np.where(pairs, dist, 1.0) ** -(grid.dim + order * e)
+            terms, _ = region_pair_terms(u, expo, order, grid, region_a, region_b)
+            assert len(terms) == np.count_nonzero(pairs) // (2 if region_b is None else 1)
+            assert np.sum(terms) == pytest.approx(np.sum(dense_terms[pairs]), rel=1e-12)
 
 
 # -- tail ---------------------------------------------------------------------
