@@ -1,5 +1,10 @@
 """Command-line front end: solve | norms | diagnose | iterate | check-exponent.
 
+Every command but ``iterate`` reads its grid, field and problem from
+``--config``.  ``diagnose`` takes no constants of its own: its levels are the
+quartiles of u, its inner radius is half the ball's, and the growth lemma's
+delta is calibrated and its gamma measured from the data.
+
 Outputs are plain CSV (17 significant digits, byte-identical across runs of
 the same configuration) and JSON reports.  Errors leave a machine-readable
 {code, field, message} object on stderr and a nonzero exit status.
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import regularity as reg
 from .config import ConfigError, parse_config
-from .exponents import check_exterior_comparison, check_interior_oscillation, check_log_holder, field_from_spec
+from .exponents import check_exterior_comparison, check_interior_oscillation, check_log_holder
 from .grid import ball_mask, read_grid_function, write_grid_function
 from .operators import tail
 from .solve import NonConvergenceError, comparison_check, exterior_data, minimize
@@ -141,12 +146,9 @@ def _cmd_diagnose(args) -> int:
     x0 = np.asarray(dg.center)
     radius = dg.radius
 
-    if dg.levels == "quartiles":
-        levels = [float(np.quantile(u[grid.interior], t)) for t in (0.25, 0.5, 0.75)]
-    else:
-        levels = [float(v) for v in dg.levels.split(",")]
+    levels = [float(np.quantile(u[grid.interior], t)) for t in (0.25, 0.5, 0.75)]
     # builds the kernel of the pairs that touch B_R, all the estimate reads
-    caccioppoli = reg.caccioppoli_report(u, field, s, grid, x0, dg.inner_factor * radius, radius, levels)
+    caccioppoli = reg.caccioppoli_report(u, field, s, grid, x0, radius / 2.0, radius, levels)
 
     tails = {rep.sign: dataclasses.asdict(rep)
              for rep in tail(grid, field, s, u, x0, radius, ("plus", "minus", "abs"))}
@@ -154,27 +156,20 @@ def _cmd_diagnose(args) -> int:
 
     shift = float(np.min(u))
     v = u - shift  # growth/sublevel diagnostics expect nonnegative data
-    h_level = float(np.max(v[ball_mask(grid, x0, radius)])) / 2.0
-    if h_level <= 0:
-        growth = None
-    elif dg.delta == "auto":
-        growth = reg.calibrate_growth_delta(v, field, s, grid, x0, radius, sigma)[1]
+    # delta is calibrated and gamma measured; delta is None unless the lemma holds there
+    if np.max(v[ball_mask(grid, x0, radius)]) > 0:  # H = sup v / 2 on B_R must be positive
+        delta, growth = reg.calibrate_growth_delta(v, field, s, grid, x0, radius, sigma)
     else:
-        scenario = reg.GrowthScenario(x0=tuple(x0), radius=radius, H=h_level,
-                                      delta=float(dg.delta), gamma=dg.gamma, sigma=sigma)
-        growth = reg.growth_lemma_check(v, field, s, grid, scenario)
-    # delta is reported only where the lemma's hypotheses and conclusion hold
-    held = growth is not None and growth.hypotheses_met and growth.conclusion_holds
-    delta = growth.scenario.delta if held else None
+        delta, growth = None, None
 
-    sub_levels = [lv for lv in (np.quantile(v[grid.interior], 0.5),) if lv > 0]
-    sublevel = [
-        dataclasses.asdict(reg.sublevel_energy_check(v, field, s, grid, x0, radius, float(lv), sigma, q))
-        for lv in sub_levels
-    ]
+    sublevel = []
+    median = float(np.quantile(v[grid.interior], 0.5))
+    if median > 0:
+        sublevel.append(dataclasses.asdict(
+            reg.sublevel_energy_check(v, field, s, grid, x0, radius, median, sigma, q)))
 
     try:
-        holder = dataclasses.asdict(reg.holder_exponent_fit(u, grid, x0, radius, dg.dyadic_levels))
+        holder = dataclasses.asdict(reg.holder_exponent_fit(u, grid, x0, radius))
     except reg.ResolutionError as err:
         holder = {"error": str(err)}
 
@@ -212,15 +207,7 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_check_exponent(args) -> int:
-    if args.config and args.preset:
-        return _fail("arguments", "preset", "--preset and --config exclude each other")
-    if args.config:
-        config, grid, field = _load_run(args)
-    else:
-        from .grid import build_grid
-
-        grid = build_grid(1, 0.0, 1.0, 4.0, 201)
-        field = field_from_spec(args.preset or "radial")
+    _, grid, field = _load_run(args)
     out = _out_dir(args)
     reports = {
         "interior_oscillation": check_interior_oscillation(field, grid),
@@ -262,8 +249,7 @@ def main(argv=None) -> int:
     p_iter.add_argument("--out", default=None)
 
     p_check = sub.add_parser("check-exponent", help="exponent admissibility conditions")
-    p_check.add_argument("--preset", default=None)
-    p_check.add_argument("--config", default=None)
+    p_check.add_argument("--config", required=True)
     p_check.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)

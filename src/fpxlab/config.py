@@ -31,11 +31,6 @@ class ConfigError(ValueError):
 class DiagnosticsSpec:
     center: tuple = (0.0,)
     radius: float = 0.5
-    inner_factor: float = 0.5
-    levels: str = "quartiles"
-    dyadic_levels: int = 3
-    gamma: float = 0.25
-    delta: str = "auto"
 
 
 @dataclass
@@ -47,7 +42,7 @@ class RunConfig:
 _GRID_KEYS = {"dim", "center", "halfwidth", "r_trunc", "nodes_per_axis"}
 _FIELD_KEYS = {"preset", "value", "table"}
 _PROBLEM_KEYS = {"s", "sigma", "q", "exterior", "grad_tol", "max_iter", "seed"}
-_DIAG_KEYS = {"center", "radius", "inner_factor", "levels", "dyadic_levels", "gamma", "delta"}
+_DIAG_KEYS = {"center", "radius"}
 _SECTIONS = {"grid": _GRID_KEYS, "field": _FIELD_KEYS, "problem": _PROBLEM_KEYS, "diagnostics": _DIAG_KEYS}
 
 
@@ -158,25 +153,6 @@ def parse_text(text: str, seed: int | None = None) -> RunConfig:
         except GridGeometryError as err:
             key = "center" if grid.room(diag_center) <= 0 else "radius"
             problems.append({"field": f"diagnostics.{key}", "message": str(err)})
-    inner_factor = _get(sections, "diagnostics", "inner_factor", float, 0.5, problems,
-                        lambda v: 0 < v < 1, "must lie in (0, 1)")
-    levels = _get(sections, "diagnostics", "levels", str, "quartiles", problems)
-    if levels != "quartiles":
-        try:
-            _floats(levels)
-        except ValueError:
-            problems.append({"field": "diagnostics.levels", "message": "quartiles or a comma list of numbers"})
-    dyadic = _get(sections, "diagnostics", "dyadic_levels", int, 3, problems, lambda v: v >= 3, "must be >= 3")
-    gamma = _get(sections, "diagnostics", "gamma", float, 0.25, problems,
-                 lambda v: 0 < v < 1, "must lie in (0, 1)")
-    delta = _get(sections, "diagnostics", "delta", str, "auto", problems)
-    if delta != "auto":
-        try:
-            dv = float(delta)
-            if not 0 < dv <= 0.125:
-                problems.append({"field": "diagnostics.delta", "message": "must lie in (0, 1/8] or be auto"})
-        except ValueError:
-            problems.append({"field": "diagnostics.delta", "message": "must be a number or auto"})
 
     if problems:
         raise ConfigError(problems)
@@ -192,11 +168,7 @@ def parse_text(text: str, seed: int | None = None) -> RunConfig:
         field_params=field_params, exterior=exterior, grad_tol=grad_tol,
         max_iter=max_iter, seed=seed,
     )
-    diagnostics = DiagnosticsSpec(
-        center=diag_center, radius=radius, inner_factor=inner_factor, levels=levels,
-        dyadic_levels=dyadic, gamma=gamma, delta=delta,
-    )
-    return RunConfig(solve=solve, diagnostics=diagnostics)
+    return RunConfig(solve=solve, diagnostics=DiagnosticsSpec(center=diag_center, radius=radius))
 
 
 def parse_config(path, seed: int | None = None) -> RunConfig:
@@ -226,11 +198,7 @@ def serialize(config: RunConfig) -> str:
             "s": sv.s, "sigma": sv.sigma, "q": sv.q, "exterior": sv.exterior,
             "grad_tol": sv.grad_tol, "max_iter": sv.max_iter, "seed": sv.seed,
         },
-        "diagnostics": {
-            "center": tuple(dg.center), "radius": dg.radius, "inner_factor": dg.inner_factor,
-            "levels": dg.levels, "dyadic_levels": dg.dyadic_levels,
-            "gamma": dg.gamma, "delta": dg.delta,
-        },
+        "diagnostics": {"center": tuple(dg.center), "radius": dg.radius},
     }
     if sv.field_kind == "constant":
         sections["field"]["value"] = sv.field_params.get("value", 2.0)

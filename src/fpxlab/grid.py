@@ -157,7 +157,7 @@ def read_grid_function(path, grid: Grid) -> np.ndarray:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file fails the header check
         expected = ["x", "u"] if grid.dim == 1 else ["x", "y", "u"]
         if [c.strip() for c in header] != expected:
             raise ValueError(f"expected CSV header {','.join(expected)}")

@@ -1,11 +1,13 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fpxlab.cli import main
-from fpxlab.config import ConfigError, parse_text, serialize
+from fpxlab.config import _SECTIONS, ConfigError, DiagnosticsSpec, parse_text, serialize
 from fpxlab.grid import read_grid_function, write_grid_function
 from fpxlab.spaces import gagliardo_modular, lebesgue_modular
 
@@ -47,7 +49,7 @@ def test_parse_minimal_defaults():
     assert cfg.solve.nodes_per_axis == 201
     assert cfg.solve.s == 0.5
     assert cfg.solve.field_kind == "constant"
-    assert cfg.diagnostics.levels == "quartiles"
+    assert cfg.diagnostics == DiagnosticsSpec(center=(0.0,), radius=0.5)
 
 
 def test_parse_reports_all_problems():
@@ -93,8 +95,15 @@ def test_parse_rejects_removed_scales_key(field, value):
     (("radius = 0.5", "radius = 1.5"), [], "diagnostics.radius"),
     (("radius = 0.5", "center = 0.9\nradius = 0.5"), [], "diagnostics.radius"),
     (("radius = 0.5", "center = 1.5\nradius = 0.5"), [], "diagnostics.center"),  # no radius fits
+    # diagnose works these out from the ball and the data, so a config cannot set them
+    (("radius = 0.5", "radius = 0.5\ninner_factor = 0.5"), [], "diagnostics.inner_factor"),
+    (("radius = 0.5", "radius = 0.5\nlevels = quartiles"), [], "diagnostics.levels"),
+    (("radius = 0.5", "radius = 0.5\ndyadic_levels = 3"), [], "diagnostics.dyadic_levels"),
+    (("radius = 0.5", "radius = 0.5\ngamma = 0.25"), [], "diagnostics.gamma"),
+    (("radius = 0.5", "radius = 0.5\ndelta = 0.1"), [], "diagnostics.delta"),
 ], ids=["exterior-kind", "exterior-number", "halfwidth-alignment", "seed",
-        "ball-radius", "ball-near-boundary", "ball-center-outside"])
+        "ball-radius", "ball-near-boundary", "ball-center-outside",
+        "removed-inner_factor", "removed-levels", "removed-dyadic_levels", "removed-gamma", "removed-delta"])
 def test_config_rejects_what_the_run_would_reject(tmp_path, capsys, edit, argv, field):
     path = tmp_path / "run.cfg"
     path.write_text(BASE_CONFIG.replace(*edit) if edit else BASE_CONFIG)
@@ -203,21 +212,34 @@ def test_diagnose_fields(config_path, tmp_path):
     assert set(report["growth"]["scenario"]) == {"x0", "radius", "H", "delta", "gamma", "sigma"}
 
 
-@pytest.mark.parametrize("height, delta", [(12.0, None), (24.0, 0.1)])
-def test_diagnose_fixed_delta_reported_only_where_lemma_holds(tmp_path, height, delta):
-    # a plateau of the given height over the domain: at 12 the scale hypothesis
-    # R^s <= delta H fails for delta = 0.1, at 24 the lemma holds
+@pytest.mark.parametrize("height, delta", [(11.0, None), (12.0, 0.125)])
+def test_diagnose_calibrated_delta_reported_only_where_lemma_holds(tmp_path, height, delta):
+    # a plateau of the given height over the domain calibrates to delta = 1/8 with
+    # H = height / 2; the scale hypothesis R^s = 0.707 <= delta H fails at
+    # 11 (delta H = 0.6875) and holds at 12 (0.75)
     path = tmp_path / "run.cfg"
-    path.write_text(BASE_CONFIG.replace("preset = radial", "preset = constant") + "delta = 0.1\n")
+    path.write_text(BASE_CONFIG.replace("preset = radial", "preset = constant"))
     grid = parse_text(path.read_text()).solve.build_grid()
     write_grid_function(tmp_path / "u.csv", grid, np.where(grid.interior, height, 0.0))
     assert main(["diagnose", "--config", str(path), "--input", str(tmp_path / "u.csv"),
                  "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "diagnostics.json").read_text())
     growth = report["growth"]
-    assert growth["scenario"]["delta"] == 0.1
+    assert growth["scenario"]["delta"] == 0.125
+    assert growth["scenario"]["H"] == height / 2
     assert growth["failed"] == ([] if delta else ["scale"])
     assert report["growth_delta"] == delta
+
+
+@pytest.mark.parametrize("command", ["norms", "diagnose"])
+def test_empty_input_is_a_structured_error(config_path, tmp_path, capsys, command):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main([command, "--config", str(config_path), "--input", str(empty),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert set(err) == {"code", "field", "message"}
+    assert err["code"] == "ValueError"
 
 
 def test_norms_modulars_match_library(config_path, tmp_path):
@@ -260,9 +282,15 @@ def test_iterate_table(capsys):
         assert float(bound) == 2.0 ** -(1 + j)
 
 
+def _preset_config(tmp_path, preset):
+    path = tmp_path / f"{preset}.cfg"
+    path.write_text(f"[field]\npreset = {preset}\n")
+    return str(path)
+
+
 def test_check_exponent_radial_passes(tmp_path):
     out = tmp_path / "out"
-    rc = main(["check-exponent", "--preset", "radial", "--out", str(out)])
+    rc = main(["check-exponent", "--config", _preset_config(tmp_path, "radial"), "--out", str(out)])
     assert rc == 0
     report = json.loads((out / "exponent.json").read_text())
     assert report["interior_oscillation"]["passed"]
@@ -272,23 +300,12 @@ def test_check_exponent_radial_passes(tmp_path):
 
 def test_check_exponent_product_fails(tmp_path, capsys):
     out = tmp_path / "out"
-    rc = main(["check-exponent", "--preset", "product", "--out", str(out)])
+    rc = main(["check-exponent", "--config", _preset_config(tmp_path, "product"), "--out", str(out)])
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == "exponent_condition"
     report = json.loads((out / "exponent.json").read_text())
     assert not report["log_holder"]["passed"]
-
-
-def test_check_exponent_rejects_preset_with_config(config_path, tmp_path, capsys):
-    # the config names its own field; a preset beside it would be silently ignored
-    out = tmp_path / "out"
-    rc = main(["check-exponent", "--preset", "product", "--config", str(config_path), "--out", str(out)])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert set(err) == {"code", "field", "message"}
-    assert err["field"] == "preset"
-    assert not (out / "exponent.json").exists()
 
 
 def test_config_error_json(tmp_path, capsys):
@@ -308,3 +325,20 @@ def test_csv_cells_finite(config_path, tmp_path):
         rows = (out / name).read_text().splitlines()[1:]
         for row in rows:
             assert all(math.isfinite(float(cell)) for cell in row.split(","))
+
+
+def test_readme_configuration_example_names_every_key():
+    # the README's example parses, and names each key the parser knows, the commented table too
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration format\n", 1)[1].split("\n## ", 1)[0]
+    block = "\n".join(line[4:] for line in section.splitlines() if line.startswith("    "))
+    parse_text(block)
+    named: dict = {}
+    current = None
+    for line in block.splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line.strip())
+        if header:
+            current = named.setdefault(header.group(1), set())
+        elif "=" in line:
+            current.add(line.lstrip("# ").split("=", 1)[0].strip())
+    assert named == _SECTIONS

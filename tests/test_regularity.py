@@ -3,7 +3,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpxlab.exponents import constant_field, radial_field
@@ -392,6 +392,44 @@ def test_growth_calibration_agrees_with_full_check(instance, radius, request):
         above = dataclasses.replace(rep.scenario, delta=delta * (1 + 1e-9))
         over = growth_lemma_check(result.u, field, cfg.s, grid, above)
         assert not (over.hypotheses_met and over.conclusion_holds)
+
+
+@given(
+    data=st.one_of(
+        st.tuples(st.just("plateau"), st.floats(8.0, 40.0)),  # the height
+        st.tuples(st.just("dip"), st.floats(0.5, 2.5)),  # the value on B_(R/4) of a plateau of 40
+        st.tuples(st.just("radial"), st.floats(0.75, 1.1)),  # the scale of a solved minimiser
+    ),
+    delta=st.floats(0.0, 0.125, exclude_min=True),
+    gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+@example(data=("plateau", 24.0), delta=0.1, gamma=0.5)
+@example(data=("dip", 2.0), delta=0.05, gamma=0.25)
+@example(data=("radial", 1.0), delta=0.125, gamma=0.9)
+@settings(max_examples=150, deadline=None)
+def test_fixed_scenario_never_beats_calibration(line_grid, radial_growth_solution, data, delta, gamma):
+    """Whenever the lemma holds at a fixed (delta, gamma), calibration finds a delta at least as large.
+
+    The scale and tail hypotheses only get easier as delta grows, the
+    conclusion caps delta at the calibrated top end, and the calibrated gamma
+    is the measured mass fraction, so a fixed scenario at the same H shows
+    nothing the calibration does not.
+    """
+    kind, value = data
+    if kind == "radial":
+        grid, field, cfg, result = radial_growth_solution
+        u, s, sigma, radius = value * result.u, cfg.s, cfg.sigma, 0.1
+    else:
+        grid, field, s, sigma, radius = line_grid, constant_field(2.0), 0.5, 0.25, 0.5
+        u = np.where(grid.interior, value if kind == "plateau" else 40.0, 0.0)
+        if kind == "dip":  # the conclusion caps the calibrated delta at value / 20 < 1/8
+            u[ball_mask(grid, np.zeros(1), radius / 4.0)] = value
+    h_level = float(np.max(u[ball_mask(grid, np.zeros(1), radius)])) / 2.0
+    scenario = GrowthScenario(x0=(0.0,), radius=radius, H=h_level, delta=delta, gamma=gamma, sigma=sigma)
+    fixed = growth_lemma_check(u, field, s, grid, scenario)
+    calibrated, _ = calibrate_growth_delta(u, field, s, grid, 0.0, radius, sigma)
+    if fixed.hypotheses_met and fixed.conclusion_holds:
+        assert calibrated is not None and calibrated >= delta
 
 
 # -- sublevel energy ------------------------------------------------------------------
