@@ -99,7 +99,12 @@ def _as_points(x) -> np.ndarray:
 
 
 def _pair_norm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum((x - y) ** 2, axis=-1))
+    """|x - y| over the last axis; the squared coordinates are added in order, as np.sum adds them."""
+    squares = (x - y) ** 2
+    total = squares[..., 0]
+    for k in range(1, squares.shape[-1]):
+        total = total + squares[..., k]
+    return np.sqrt(total)
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,27 @@ class PairKernel:
 
         return 2.0 * exponents.pairwise_sum(terms, 0, len(self.i))
 
+    def energy_change(self, u: np.ndarray, v: np.ndarray) -> float:
+        """F(v) - F(u), resolved far below the float64 resolution of F.
+
+        With a = u_i - u_j and e = (v - u)_i - (v - u)_j, a pair changes by
+        c |a|^p expm1(p log1p(e / a)) / p where |e| < |a| / 2, whose rounding
+        is relative to the change rather than to the pair's energy, and by
+        c (|a + e|^p - |a|^p) / p elsewhere, where the two are comparable.
+        """
+        move = v - u
+
+        def terms(a, b):
+            i, j, p = self.i[a:b], self.j[a:b], self.p[a:b]
+            base, shift = u[i] - u[j], move[i] - move[j]
+            power = np.abs(base) ** p
+            near = np.abs(shift) < 0.5 * np.abs(base)
+            ratio = np.where(near, shift, 0.0) / np.where(near, base, 1.0)
+            change = np.where(near, power * np.expm1(p * np.log1p(ratio)), np.abs(base + shift) ** p - power)
+            return self.coeff[a:b] * change / p
+
+        return 2.0 * exponents.pairwise_sum(terms, 0, len(self.i))
+
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """dF/du_k on every node (collar entries included).
 
@@ -137,6 +158,28 @@ class PairKernel:
     def residual_norm(self, u: np.ndarray) -> float:
         """The weighted nodal residual of u (:func:`weighted_residual`)."""
         return weighted_residual(self.grid, self.gradient(u))
+
+    def p2_hessian(self) -> np.ndarray:
+        """The Hessian of the p = 2 energy on the interior nodes: sum_k 2 c_k (e_i - e_j)(e_i - e_j)^T.
+
+        Rows and columns follow the interior nodes in index order; a pair
+        with a collar endpoint adds to the diagonal only.  The pairs are
+        swept in blocks, so every temporary is block-sized.  Rows off the
+        kernel's region are partial.
+        """
+        interior = self.grid.interior
+        n = int(np.count_nonzero(interior))
+        index = np.cumsum(interior) - 1  # position among the interior nodes
+        matrix, diagonal = np.zeros((n, n)), np.zeros(n)
+        for part in row_blocks(len(self.i)):
+            w, a, j = 2.0 * self.coeff[part], index[self.i[part]], self.j[part]
+            inner = interior[j]
+            a_in, b_in, w_in = a[inner], index[j[inner]], w[inner]
+            diagonal += np.bincount(a, w, n) + np.bincount(b_in, w_in, n)
+            # each interior pair is listed once, so every off-diagonal entry is written once
+            matrix[a_in, b_in] = matrix[b_in, a_in] = -w_in
+        matrix.flat[:: n + 1] = diagonal
+        return matrix
 
 
 @dataclass

@@ -1,14 +1,17 @@
 """Energy minimisation over interior nodal values with fixed collar data.
 
 The discrete energy is convex and continuously differentiable for exponent
-bounds above 1 (the map t -> |t|^(p-2) t extends by 0 at t = 0), so plain
+bounds above 1 (the map t -> |t|^(p-2) t extends by 0 at t = 0), so
 first-order descent with a backtracking line search converges from any
-start.  Steps are proposed with a Barzilai-Borwein scalar and safeguarded
-by backtracking (factor 0.5) until the gradient at the trial point
-certifies an Armijo decrease (see :func:`descend`), which keeps the
-accepted energy history non-increasing.  No smoothing of the gradient
-kernel is introduced, so constant data is solved exactly in zero descent
-steps.
+start.  The descent is preconditioned by one dense matrix: the Hessian of
+the same kernel's energy at p = 2, inverted once per solve.  For a constant
+p = 2 the energy is that quadratic, and the first unit step solves it
+exactly.  Steps are proposed with alternating Barzilai-Borwein scalars in
+that metric and halved until the energy does not rise and an Armijo
+decrease is seen in it or certified by the gradient at the trial point (see
+:func:`descend`); the recorded energy history is non-increasing.  No
+smoothing of the gradient kernel is introduced, so constant data is solved
+exactly in zero descent steps.
 
 Convergence is declared on the weighted nodal residual
 max_i |m_i L(u)_i| (see :func:`operators.weighted_residual`), which is stable
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .exponents import ExponentField, constant_field, field_from_spec
+from .exponents import ExponentField, field_from_spec
 from .grid import Grid, build_grid
 from .operators import PairKernel, weighted_residual
 
@@ -42,6 +45,7 @@ __all__ = [
 ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 STEP0 = 1.0  # first trial step
 BACKTRACK = 0.5  # step reduction factor after a rejected trial
+ROUNDING = 16 * np.finfo(float).eps  # relative float64 error of a computed energy (measured: under 2 eps)
 
 
 class NonConvergenceError(RuntimeError):
@@ -133,57 +137,76 @@ def exterior_data(spec: str, grid: Grid, seed: int = 0) -> np.ndarray:
 
 
 def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int):
-    """Backtracking descent on interior values.
+    """Barzilai-Borwein descent on interior values in the p = 2 metric of the kernel.
 
-    A trial step u - t g is accepted when its energy does not exceed the
-    last accepted one and gradient(trial) . g >= ARMIJO |g|^2; F is convex,
-    so the latter certifies F(trial) <= F(u) - ARMIJO t |g|^2 even below the
-    float64 resolution of F.  Returns (u, history, residual, iterations), u
-    the best-residual iterate seen.  Stops when the residual meets grad_tol,
-    when 60 backtracks find no acceptable step, or after max_iter
+    A is the Hessian of the kernel's energy at p = 2
+    (:meth:`PairKernel.p2_hessian`), inverted once.  A trial step u - t z
+    along z = A^-1 g is accepted when its energy change dF = F(trial) - F(u)
+    is not positive and either dF <= -ARMIJO t g . z or gradient(trial) . z
+    >= ARMIJO g . z; F is convex, so the latter certifies the same decrease.
+    Otherwise the step is halved.  dF is the difference of the two computed
+    energies or, where that lies within their rounding (ROUNDING), the
+    pair-by-pair :meth:`PairKernel.energy_change`, which resolves changes far
+    below one ulp of F.  With a constant p = 2 the first unit step is the
+    exact minimiser.  Later steps alternate the two Barzilai-Borwein scalars
+    of the A-metric, the long (du . A du) / (du . dg) with du . A du = t^2 g .
+    z, and the short (du . dg) / (dg . A^-1 dg) with dg . A^-1 dg = g' . z' -
+    2 g' . z + g . z, primes marking the new iterate.  The history starts at
+    F(u0) and adds each accepted dF, so it rises only if a rising step is
+    accepted.
+
+    Returns (u, history, residual, iterations), u the best-residual iterate
+    seen.  Stops when the residual meets grad_tol, when 60 backtracks find no
+    acceptable step or an accepted step no longer moves u, or after max_iter
     iterations; minimize wraps this with the non-convergence contract.
     """
     free = kernel.grid.interior
+    inverse = np.linalg.inv(kernel.p2_hessian())
     u = u0.copy()
     energy = kernel.energy(u)
     history = [energy]
     g = kernel.gradient(u)
     step = STEP0
-    prev_u = prev_g = None
+    last = None  # du . dg, g . z and gradient(trial) . z of the last accepted step
     best_u, best_residual = u, math.inf
 
     for it in range(max_iter + 1):
-        g[~free] = 0.0
         residual = weighted_residual(kernel.grid, g)
         if residual < best_residual:
             best_u, best_residual = u, residual
         if best_residual <= grad_tol or it == max_iter:
             break
 
-        if prev_g is not None:
-            du = u[free] - prev_u
-            dg = g[free] - prev_g
-            denom = float(du @ dg)
-            if denom > 0:
-                step = float(du @ du) / denom
+        z = inverse @ g[free]
+        gz = float(g[free] @ z)
+        if last is not None and last[0] > 0:
+            dudg, last_gz, slope = last
+            dgdg = gz - 2.0 * slope + last_gz  # dg . A^-1 dg
+            if it % 2:
+                step = step * step * last_gz / dudg  # long: du . A du / du . dg
+            elif dgdg > 0:
+                step = dudg / dgdg  # short: du . dg / dg . A^-1 dg
             step = min(max(step, 1e-12), 1e12)
-        gnorm2 = float(g @ g)
-
         for _ in range(60):
             trial = u.copy()
-            trial[free] = u[free] - step * g[free]
+            trial[free] = u[free] - step * z
             trial_energy = kernel.energy(trial)
-            if trial_energy <= energy:
+            change = trial_energy - energy
+            if abs(change) <= ROUNDING * energy:
+                change = kernel.energy_change(u, trial)
+            if change <= 0.0:
                 trial_g = kernel.gradient(trial)
-                if float(trial_g @ g) >= ARMIJO * gnorm2:
+                slope = float(trial_g[free] @ z)
+                if change <= -ARMIJO * step * gz or slope >= ARMIJO * gz:
                     break
             step *= BACKTRACK
         else:
             break  # no certified descent step is left in float64
-        prev_u = u[free].copy()
-        prev_g = g[free].copy()
+        if np.array_equal(trial, u):
+            break  # the step is below the float64 resolution of u
+        last = step * (gz - slope), gz, slope
         u, g, energy = trial, trial_g, trial_energy
-        history.append(energy)
+        history.append(history[-1] + change)
 
     return best_u, np.asarray(history), best_residual, it
 
@@ -192,12 +215,13 @@ def minimize(config: SolveConfig, grid: Grid | None = None,
              field: ExponentField | None = None, g: np.ndarray | None = None) -> SolveResult:
     """Solve the exterior-data problem of ``config``.
 
-    Collar values are pinned to the data; interior values start from a
-    short quadratic-exponent presolve (100 descent steps with p = 2) and
-    then descend the true energy until the weighted nodal residual drops
-    below ``grad_tol``.  A descent that stops above ``grad_tol`` (budget
-    spent or no acceptable step left) raises :class:`NonConvergenceError`
-    carrying the partial result.
+    Collar values are pinned to the data; interior values start from the
+    mean of the collar data and descend the energy on one
+    :class:`PairKernel` (see :func:`descend`) until the weighted nodal
+    residual drops below ``grad_tol``.  A constant p = 2 field is solved by
+    the first step.  A descent that stops above ``grad_tol`` (budget spent
+    or no acceptable step left) raises :class:`NonConvergenceError` carrying
+    the partial result.
     """
     grid = config.build_grid() if grid is None else grid
     field = config.build_field() if field is None else field
@@ -209,11 +233,6 @@ def minimize(config: SolveConfig, grid: Grid | None = None,
 
     u0 = g.copy()
     u0[grid.interior] = np.mean(g[grid.exterior])
-
-    if not (field.kind == "constant" and field.p_min == 2.0):
-        # the p = 2 kernel lives only in this call, so it is freed before the main one is built
-        u0 = descend(PairKernel(grid, constant_field(2.0), config.s), u0, config.grad_tol, 100)[0]
-
     kernel = PairKernel(grid, field, config.s)
     u, history, residual, iters = descend(kernel, u0, config.grad_tol, config.max_iter)
     result = SolveResult(u=u, iterations=iters, final_residual=residual, energy_history=history)

@@ -297,3 +297,11 @@ def test_log_holder_2d_smoke():
     grid = build_grid(2, (0.0, 0.0), (1.0, 1.0), 3.0, 25)
     rep = check_log_holder(radial_field(), grid, scales=(1e-1, 1e-2), cap=20)
     assert rep.passed
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pair_norm_matches_numpy_sum(dim, rng):
+    # the summed coordinates give np.sum's bits, broadcast or not
+    x, y = rng.normal(size=(300, 1, dim)), rng.normal(size=(1, 400, dim))
+    for a, b in ((x, y), (x[:, 0], y[0, :300])):
+        assert exponents._pair_norm(a, b).tobytes() == np.sqrt(np.sum((a - b) ** 2, axis=-1)).tobytes()

@@ -196,6 +196,33 @@ def test_energy_gradient_matches_directional_derivative(line_grid, rng):
     assert abs(pairing - derivative) <= 1e-6 * (1.0 + abs(kern.energy(u)))
 
 
+@pytest.mark.parametrize("field", [constant_field(2.0), radial_field(), product_field()],
+                         ids=["p2", "radial", "product"])
+def test_energy_change_resolves_below_one_ulp(line_grid, field, rng):
+    kern = PairKernel(line_grid, field, 0.5)
+    u = rng.normal(size=line_grid.n_nodes)
+    phi = np.where(line_grid.interior, rng.normal(size=line_grid.n_nodes), 0.0)
+    energy = kern.energy(u)
+    for step in (1e-13, 1e-6, 1.0):
+        v = u + step * phi
+        # a change is the difference of the two energies, within their rounding
+        assert kern.energy_change(u, v) == pytest.approx(kern.energy(v) - energy, abs=1e-14 * energy)
+    # a change of a few hundred ulps of F matches its first-order term to 1e-10; the
+    # difference of the two computed energies is off by about 1e-3 here
+    v = u + 1e-13 * phi
+    first = kern.gradient(u) @ (v - u)
+    assert abs(first) < 1e3 * np.spacing(energy)
+    assert kern.energy_change(u, v) == pytest.approx(first, rel=1e-10)
+
+
+def test_p2_hessian_matches_dense_oracle(line_grid, dense):
+    _, _, _, coeff = dense(line_grid, constant_field(2.0), 0.5)
+    inner = line_grid.interior
+    expected = 2.0 * (np.diag(coeff[inner].sum(axis=1)) - coeff[np.ix_(inner, inner)])
+    hessian = PairKernel(line_grid, constant_field(2.0), 0.5).p2_hessian()
+    assert np.allclose(hessian, expected, rtol=1e-13, atol=0.0)
+
+
 def test_kernel_symmetry_exact(line_grid, dense):
     kern = PairKernel(line_grid, radial_field(), 0.5)
     pmat, _, admissible, coeff = dense(line_grid, radial_field(), 0.5)

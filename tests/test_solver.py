@@ -48,6 +48,12 @@ def test_energy_history_monotone(radial_solution):
     assert np.all(np.diff(result.energy_history) <= 1e-14)
 
 
+def test_energy_history_ends_at_the_solution_energy(radial_solution):
+    # the history adds each accepted change to F(u0), so it ends at the computed F(u)
+    cfg, grid, field, result = radial_solution
+    assert result.energy_history[-1] == pytest.approx(PairKernel(grid, field, cfg.s).energy(result.u), rel=1e-14)
+
+
 def test_exterior_values_pinned(line_grid):
     g = exterior_data("sign", line_grid)
     cfg = make_config(exterior="sign")
@@ -107,6 +113,49 @@ def test_slow_descent_is_not_cut_short(line_grid, seed):
     assert np.all(np.diff(result.energy_history) <= 0.0)
 
 
+@pytest.mark.parametrize("nodes, r_trunc, exterior, s, steps", [
+    (301, 3.0, "sign", 0.5, 1),
+    (301, 3.0, "sine:1", 0.5, 1),
+    (101, 2.0, "sign", 0.5, 1),
+    (401, 4.0, "sign", 0.9, 2),
+])
+def test_quadratic_solve_is_exact(dense, nodes, r_trunc, exterior, s, steps):
+    cfg = make_config(nodes_per_axis=nodes, r_trunc=r_trunc, exterior=exterior, s=s, grad_tol=1e-14)
+    grid = cfg.build_grid()
+    result = minimize(cfg, grid=grid)
+    assert result.iterations <= steps
+    assert result.final_residual <= 1e-14
+    # the linear system grad F = 0 on the interior, from the dense ordered-pair oracle
+    _, _, _, coeff = dense(grid, constant_field(2.0), s)
+    inner, outer = grid.interior, grid.exterior
+    matrix = np.diag(coeff[inner].sum(axis=1)) - coeff[np.ix_(inner, inner)]
+    g = exterior_data(exterior, grid)
+    exact = np.linalg.solve(matrix, coeff[np.ix_(inner, outer)] @ g[outer])
+    assert np.max(np.abs(result.u[inner] - exact)) <= 1e-12
+
+
+REFINED_CASES = {
+    "radial": ("radial", {}, "random:1", 0.5),
+    "product": ("product", {}, "random:1", 0.5),
+    "radial-s0.9": ("radial", {}, "sign", 0.9),
+    "constant-p1.2": ("constant", {"value": 1.2}, "sine:1", 0.5),
+}
+# the p = 2 metric fits the product field poorly where p nears 1.5 and neighbouring
+# values are close: at data seed 0 it takes 94, 107 and 124 iterations
+PRODUCT_GROWS = pytest.mark.xfail(strict=True, reason="product iterations grow with the mesh: 107 at 401 nodes, 124 at 801")
+
+
+@pytest.mark.parametrize("case, nodes", [
+    pytest.param(case, nodes, id=f"{case}-{nodes}", marks=PRODUCT_GROWS if case == "product" and nodes > 201 else ())
+    for case in REFINED_CASES for nodes in (201, 401, 801)
+])
+def test_iterations_stay_bounded_under_refinement(case, nodes):
+    field_kind, field_params, exterior, s = REFINED_CASES[case]
+    cfg = make_config(nodes_per_axis=nodes, field_kind=field_kind, field_params=field_params,
+                      exterior=exterior, s=s, grad_tol=1e-8)
+    assert minimize(cfg).iterations <= 100
+
+
 def test_gradient_matches_finite_differences(rng):
     grid = build_grid(1, 0.0, 1.0, 4.0, 81)
     for field in (constant_field(2.0), radial_field()):
@@ -138,12 +187,25 @@ def test_solution_residual_below_tolerance(radial_solution):
 
 
 def test_nonconvergence_carries_partial_result(line_grid):
-    cfg = make_config(exterior="sign", max_iter=2, grad_tol=1e-14)
+    # a p = 2 solve converges in one step, so the budget runs out on a product field
+    cfg = make_config(field_kind="product", field_params={}, exterior="random:1", max_iter=2)
     with pytest.raises(NonConvergenceError) as err:
-        minimize(cfg, grid=line_grid, field=constant_field(2.0))
+        minimize(cfg, grid=line_grid)
     partial = err.value.result
     assert partial.u.shape == (line_grid.n_nodes,)
     assert np.all(np.isfinite(partial.u))
+
+
+@pytest.mark.parametrize("field_kind, field_params", [("constant", {"value": 2.0}), ("radial", {})])
+def test_float_floor_ends_the_descent(line_grid, field_kind, field_params):
+    # no float64 iterate meets this tolerance: once a step no longer moves u the descent
+    # stops there, rather than repeating that step until the budget is spent
+    cfg = make_config(field_kind=field_kind, field_params=field_params, exterior="random:1",
+                      grad_tol=1e-17, max_iter=5000)
+    with pytest.raises(NonConvergenceError) as err:
+        minimize(cfg, grid=line_grid)
+    assert err.value.result.iterations < 1000
+    assert err.value.result.final_residual <= 1e-14
 
 
 def test_rejects_nonfinite_exterior(line_grid):

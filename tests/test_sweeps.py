@@ -169,11 +169,11 @@ def test_analysis_working_memory_is_block_sized():
 
 
 def test_solve_working_memory_is_one_kernel():
-    """A solve holds one kernel, a few node vectors and block-sized temporaries.
+    """A solve holds one kernel, the dense interior matrix and its inverse, a few node vectors and block-sized temporaries.
 
     With blocks of 1,024 pairs the kernel spans many blocks, so a second
-    kernel kept alive, or a pair-sized temporary in the energy or gradient,
-    shows as tens of bytes per pair above the limit.
+    kernel kept alive, or a pair-sized temporary in the energy, the gradient
+    or the matrix assembly, shows as tens of bytes per pair above the limit.
     """
     cfg = SolveConfig(s=0.5, sigma=0.25, q=1.5, nodes_per_axis=401, r_trunc=4.0,
                       field_kind="radial", exterior="sine:1")
@@ -181,5 +181,6 @@ def test_solve_working_memory_is_one_kernel():
     with mock.patch.object(exponents, "_BLOCK_PAIRS", block):
         n_pairs = len(PairKernel(grid, cfg.build_field(), cfg.s).i)
         _, peak, _ = traced(lambda: minimize(cfg, grid=grid))
+    n_int = int(np.count_nonzero(grid.interior))
     assert n_pairs > 16 * block
-    assert peak <= 32 * n_pairs + 16 * block * 8 + 64 * grid.n_nodes
+    assert peak <= 32 * n_pairs + 16 * block * 8 + 64 * grid.n_nodes + 16 * n_int**2
