@@ -22,7 +22,12 @@ import numpy as np
 
 from . import regularity as reg
 from .config import ConfigError, parse_config
-from .exponents import check_exterior_comparison, check_interior_oscillation, check_log_holder
+from .exponents import (
+    check_exterior_comparison,
+    check_interior_oscillation,
+    check_log_holder,
+    extrema_over_product,
+)
 from .grid import ball_mask, read_grid_function, write_grid_function
 from .operators import tail
 from .solve import NonConvergenceError, comparison_check, exterior_data, minimize
@@ -147,8 +152,10 @@ def _cmd_diagnose(args) -> int:
     radius = dg.radius
 
     levels = [float(np.quantile(u[grid.interior], t)) for t in (0.25, 0.5, 0.75)]
+    ball = grid.nodes[ball_mask(grid, x0, radius)]
+    extrema = extrema_over_product(field, ball, ball)  # over B_R x B_R, shared by three reports
     # builds the kernel of the pairs that touch B_R, all the estimate reads
-    caccioppoli = reg.caccioppoli_report(u, field, s, grid, x0, radius / 2.0, radius, levels)
+    caccioppoli = reg.caccioppoli_report(u, field, s, grid, x0, radius / 2.0, radius, levels, extrema=extrema)
 
     tails = {rep.sign: dataclasses.asdict(rep)
              for rep in tail(grid, field, s, u, x0, radius, ("plus", "minus", "abs"))}
@@ -158,7 +165,7 @@ def _cmd_diagnose(args) -> int:
     v = u - shift  # growth/sublevel diagnostics expect nonnegative data
     # delta is calibrated and gamma measured; delta is None unless the lemma holds there
     if np.max(v[ball_mask(grid, x0, radius)]) > 0:  # H = sup v / 2 on B_R must be positive
-        delta, growth = reg.calibrate_growth_delta(v, field, s, grid, x0, radius, sigma)
+        delta, growth = reg.calibrate_growth_delta(v, field, s, grid, x0, radius, sigma, extrema=extrema)
     else:
         delta, growth = None, None
 
@@ -166,7 +173,7 @@ def _cmd_diagnose(args) -> int:
     median = float(np.quantile(v[grid.interior], 0.5))
     if median > 0:
         sublevel.append(dataclasses.asdict(
-            reg.sublevel_energy_check(v, field, s, grid, x0, radius, median, sigma, q)))
+            reg.sublevel_energy_check(v, field, s, grid, x0, radius, median, sigma, q, extrema=extrema)))
 
     try:
         holder = dataclasses.asdict(reg.holder_exponent_fit(u, grid, x0, radius))

@@ -30,6 +30,8 @@ from .grid import SPHERE_MEASURE, Grid, GridGeometryError, ball_mask
 
 __all__ = ["PairKernel", "TailReport", "tail", "weighted_residual"]
 
+METRIC_FLOOR = 1e-3  # delta of the iterate metric, as a fraction of the range of u
+
 
 def _signed_power(delta: np.ndarray, expo: np.ndarray) -> np.ndarray:
     """|t|^(e-1) * sign(t), the derivative kernel of |t|^e / e, zero at t=0."""
@@ -159,21 +161,32 @@ class PairKernel:
         """The weighted nodal residual of u (:func:`weighted_residual`)."""
         return weighted_residual(self.grid, self.gradient(u))
 
-    def p2_hessian(self) -> np.ndarray:
-        """The Hessian of the p = 2 energy on the interior nodes: sum_k 2 c_k (e_i - e_j)(e_i - e_j)^T.
+    def p2_hessian(self, u: np.ndarray | None = None) -> np.ndarray:
+        """The interior matrix sum_k w_k (e_i - e_j)(e_i - e_j)^T: the p = 2 Hessian, or a metric at u.
 
-        Rows and columns follow the interior nodes in index order; a pair
-        with a collar endpoint adds to the diagonal only.  The pairs are
-        swept in blocks, so every temporary is block-sized.  Rows off the
-        kernel's region are partial.
+        With no iterate w_k = 2 c_k, the Hessian of the energy at p = 2.  At
+        an iterate u it is the Hessian of F at u with each pair's |u_i -
+        u_j|^2 lifted by delta^2, w_k = 2 (p_k - 1) c_k (|u_i - u_j|^2 +
+        delta^2)^((p_k - 2) / 2), delta a fraction ``METRIC_FLOOR`` of the
+        range of u; a pair with p_k = 2 weighs 2 c_k at any u.  Rows and
+        columns follow the interior nodes in index order; a pair with a
+        collar endpoint adds to the diagonal only.  The pairs and their
+        weights are swept in blocks, so every temporary is block-sized.
+        Rows off the kernel's region are partial.
         """
         interior = self.grid.interior
         n = int(np.count_nonzero(interior))
         index = np.cumsum(interior) - 1  # position among the interior nodes
+        if u is not None:
+            lift = (METRIC_FLOOR * np.ptp(u)) ** 2
         matrix, diagonal = np.zeros((n, n)), np.zeros(n)
         for part in row_blocks(len(self.i)):
-            w, a, j = 2.0 * self.coeff[part], index[self.i[part]], self.j[part]
-            inner = interior[j]
+            i, j = self.i[part], self.j[part]
+            w = 2.0 * self.coeff[part]
+            if u is not None:
+                p = self.p[part]
+                w *= (p - 1.0) * ((u[i] - u[j]) ** 2 + lift) ** (0.5 * p - 1.0)
+            a, inner = index[i], interior[j]
             a_in, b_in, w_in = a[inner], index[j[inner]], w[inner]
             diagonal += np.bincount(a, w, n) + np.bincount(b_in, w_in, n)
             # each interior pair is listed once, so every off-diagonal entry is written once

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import ExponentField, extrema_over_product
+from .exponents import ExponentField, ProductExtrema, extrema_over_product
 from .grid import Grid, GridGeometryError, ball_mask
 from .operators import PairKernel, _tail_sums, tail
 from .spaces import region_pair_terms
@@ -133,7 +133,7 @@ class CaccioppoliReport:
 
 def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
                        x0, r: float, R: float, k,
-                       kernel: PairKernel | None = None):
+                       kernel: PairKernel | None = None, extrema: ProductExtrema | None = None):
     """Level-set energy estimate for w_+ = (u - k)_+ on B_r within B_R.
 
     ``k`` is one level, giving one report, or a sequence of levels, giving a
@@ -151,7 +151,8 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     Every selected pair has its node ``i`` in B_R, so the sums sweep the
     kernel's B_R rows in blocks (:meth:`PairKernel.row_pair_blocks`), and
     any kernel holding the pairs that touch B_R gives the same reports; the
-    default builds only those.
+    default builds only those.  ``extrema`` are the exponent extrema over
+    B_R x B_R, computed when not given.
 
     ``c_explicit`` is assembled from the proof chain: the algebraic-
     inequality constant against the cutoff slope bound (Lipschitz constant
@@ -170,7 +171,7 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     if not np.all(kernel.region[outer & grid.interior]):
         raise ValueError("the kernel must hold every pair that touches B_R")
 
-    ext = extrema_over_product(field, grid.nodes[outer], grid.nodes[outer])
+    ext = extrema_over_product(field, grid.nodes[outer], grid.nodes[outer]) if extrema is None else extrema
     p_minus, p_plus = ext.p_minus, ext.p_plus
     c_branch = min(0.5, 2.0 ** (p_minus - 2.0))
     c_explicit = max(2.0**p_plus * algebraic_constant(p_minus, p_plus), 2.0) / c_branch
@@ -434,7 +435,7 @@ _GROWTH_TOL = 1e-12  # absolute slack of every growth-lemma comparison
 
 
 def growth_lemma_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
-                       scenario: GrowthScenario) -> GrowthReport:
+                       scenario: GrowthScenario, extrema: ProductExtrema | None = None) -> GrowthReport:
     """Verify growth-lemma hypotheses on the grid and test its conclusion.
 
     Hypotheses: 0 <= u <= 2H on B_R; u >= H on at least a gamma-fraction of
@@ -442,7 +443,8 @@ def growth_lemma_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     the far-field smallness bound on the negative part.  When all hold, the
     conclusion min u >= delta H over B_(R/4) is asserted; otherwise the
     failing hypotheses are reported and nothing is claimed.  The scenario's
-    sigma must lie in (0, s) for the order ``s`` of the check.
+    sigma must lie in (0, s) for the order ``s`` of the check.  ``extrema``
+    are the exponent extrema over B_R x B_R, computed when not given.
     """
     if not 0.0 < scenario.sigma < s < 1.0:
         raise ValueError("need 0 < sigma < s < 1")
@@ -451,7 +453,7 @@ def growth_lemma_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid
 
     b_full = ball_mask(grid, x0, R)
     b_half = ball_mask(grid, x0, R / 2.0)
-    ext = extrema_over_product(field, grid.nodes[b_full], grid.nodes[b_full])
+    ext = extrema_over_product(field, grid.nodes[b_full], grid.nodes[b_full]) if extrema is None else extrema
     p_minus, p_plus = ext.p_minus, ext.p_plus
 
     checks = {}
@@ -459,7 +461,8 @@ def growth_lemma_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     umin, umax = float(np.min(u[b_full])), float(np.max(u[b_full]))
     checks["range"] = (umin >= -tol and umax <= 2.0 * H + tol, {"min": umin, "max": umax, "cap": 2.0 * H})
     frac = float(np.count_nonzero(u[b_half] >= H) / np.count_nonzero(b_half))
-    checks["mass_fraction"] = (frac >= scenario.gamma - tol, {"fraction": frac, "gamma": scenario.gamma})
+    # an exact ratio of node counts, so compared with no slack
+    checks["mass_fraction"] = (frac >= scenario.gamma, {"fraction": frac, "gamma": scenario.gamma})
     spread = H ** (p_plus - p_minus)
     checks["exponent_spread"] = (spread <= 2.0 + tol, {"value": spread})
     if scenario.sigma * p_minus < grid.dim:
@@ -486,7 +489,7 @@ def growth_lemma_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid
 
 
 def calibrate_growth_delta(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
-                           x0, radius: float, sigma: float):
+                           x0, radius: float, sigma: float, extrema: ProductExtrema | None = None):
     """Find the largest positivity constant delta that the instance supports.
 
     H and gamma are measured from the data (H = sup u / 2 over the ball,
@@ -499,6 +502,7 @@ def calibrate_growth_delta(u: np.ndarray, field: ExponentField, s: float, grid: 
     rounding breaks the conclusion.  One growth check at that value decides
     feasibility.  Returns delta (None when the check fails) and the growth
     report at delta, or at 1/8 when the formula gives no positive value.
+    ``extrema`` are passed on to :func:`growth_lemma_check`.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     b_full = ball_mask(grid, x0, radius)
@@ -515,7 +519,7 @@ def calibrate_growth_delta(u: np.ndarray, field: ExponentField, s: float, grid: 
         delta = float(np.nextafter(delta, 0.0))
     scenario = GrowthScenario(x0=tuple(x0), radius=radius, H=h_level,
                               delta=delta if delta > 0 else 0.125, gamma=gamma, sigma=sigma)
-    report = growth_lemma_check(u, field, s, grid, scenario)
+    report = growth_lemma_check(u, field, s, grid, scenario, extrema)
     feasible = report.hypotheses_met and report.conclusion_holds
     return (delta if feasible else None), report
 
@@ -536,7 +540,8 @@ class SublevelReport:
 
 
 def sublevel_energy_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
-                          x0, radius: float, level: float, sigma: float, q: float) -> SublevelReport:
+                          x0, radius: float, level: float, sigma: float, q: float,
+                          extrema: ProductExtrema | None = None) -> SublevelReport:
     """Constant-exponent seminorm of (u - level)_- against sublevel mass.
 
     lhs = [(u - level)_-]^q in the order-sigma, exponent-q Gagliardo sense
@@ -544,12 +549,13 @@ def sublevel_energy_check(u: np.ndarray, field: ExponentField, s: float, grid: G
     largest of |A|, |A|^(1 + q/p_- - q/p_+), |A|^(1 + q/p_+ - q/p_-) where
     A collects B_R nodes strictly below the level (ties count as not
     below).  The constant is existential, so the report only fits it:
-    ``c_empirical`` = lhs / envelope.
+    ``c_empirical`` = lhs / envelope.  ``extrema`` are the exponent extrema
+    over B_R x B_R, computed when not given.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     b_full = ball_mask(grid, x0, radius)
     b_half = ball_mask(grid, x0, radius / 2.0)
-    ext = extrema_over_product(field, grid.nodes[b_full], grid.nodes[b_full])
+    ext = extrema_over_product(field, grid.nodes[b_full], grid.nodes[b_full]) if extrema is None else extrema
     if not 1.0 <= q < ext.p_minus:
         raise ValueError("need 1 <= q < p_- on the ball")
 

@@ -3,11 +3,14 @@
 The discrete energy is convex and continuously differentiable for exponent
 bounds above 1 (the map t -> |t|^(p-2) t extends by 0 at t = 0), so
 first-order descent with a backtracking line search converges from any
-start.  The descent is preconditioned by one dense matrix: the Hessian of
-the same kernel's energy at p = 2, inverted once per solve.  For a constant
-p = 2 the energy is that quadratic, and the first unit step solves it
-exactly.  Steps are proposed with alternating Barzilai-Borwein scalars in
-that metric and halved until the energy does not rise and an Armijo
+start.  The descent is preconditioned by one dense matrix on the interior
+nodes, held as a Cholesky factor: the Hessian of the same kernel's energy at
+p = 2 for the first step, then the Hessian at the current iterate (its
+pair differences lifted by a small floor), rebuilt at iterations 1, 4, 16,
+64, ...  For a constant p = 2 the energy is that quadratic, and the first
+unit step solves it exactly.  Steps are proposed with alternating
+Barzilai-Borwein scalars in the current metric, restarted at the unit step
+after each rebuild, and halved until the energy does not rise and an Armijo
 decrease is seen in it or certified by the gradient at the trial point (see
 :func:`descend`); the recorded energy history is non-increasing.  No
 smoothing of the gradient kernel is introduced, so constant data is solved
@@ -46,6 +49,8 @@ ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 STEP0 = 1.0  # first trial step
 BACKTRACK = 0.5  # step reduction factor after a rejected trial
 ROUNDING = 16 * np.finfo(float).eps  # relative float64 error of a computed energy (measured: under 2 eps)
+REFRESH = 4  # the metric is rebuilt at the iterate at iterations 1, 4, 16, 64, ...
+FACTOR_BLOCK = 128  # rows per diagonal block of the blocked triangular solves
 
 
 class NonConvergenceError(RuntimeError):
@@ -136,20 +141,51 @@ def exterior_data(spec: str, grid: Grid, seed: int = 0) -> np.ndarray:
     return value * waves / scale if scale > 0 else np.zeros_like(waves)
 
 
-def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int):
-    """Barzilai-Borwein descent on interior values in the p = 2 metric of the kernel.
+class Cholesky:
+    """A symmetric positive definite matrix A = L L^T, applied as A^-1 by blocked substitution.
 
-    A is the Hessian of the kernel's energy at p = 2
-    (:meth:`PairKernel.p2_hessian`), inverted once.  A trial step u - t z
-    along z = A^-1 g is accepted when its energy change dF = F(trial) - F(u)
-    is not positive and either dF <= -ARMIJO t g . z or gradient(trial) . z
-    >= ARMIJO g . z; F is convex, so the latter certifies the same decrease.
+    numpy has no triangular solve, so the diagonal blocks of L
+    (``FACTOR_BLOCK`` rows) are inverted once, and each solve runs forward
+    and back over the blocks with one product by an inverted block and one
+    by the panel of L beside it.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.lower = np.linalg.cholesky(matrix)
+        n = len(matrix)
+        self.parts = [slice(k, min(k + FACTOR_BLOCK, n)) for k in range(0, n, FACTOR_BLOCK)]
+        self.inverses = [np.linalg.inv(self.lower[part, part]) for part in self.parts]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs: L y = rhs forward, then L^T x = y backward."""
+        lower, y = self.lower, np.empty_like(rhs)
+        for part, inverse in zip(self.parts, self.inverses):
+            y[part] = inverse @ (rhs[part] - lower[part, : part.start] @ y[: part.start])
+        x = np.empty_like(rhs)
+        for part, inverse in zip(reversed(self.parts), reversed(self.inverses)):
+            x[part] = (y[part] - x[part.stop :] @ lower[part.stop :, part]) @ inverse
+        return x
+
+
+def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int):
+    """Barzilai-Borwein descent on interior values in a metric rebuilt at the iterate.
+
+    The metric A starts as the Hessian of the kernel's energy at p = 2
+    (:meth:`PairKernel.p2_hessian`).  At iterations 1, 4, 16, 64, ...
+    (``REFRESH``) the old factor is freed and A is rebuilt at the current
+    iterate, ``p2_hessian(u)``: the Hessian of F at u with every pair
+    difference lifted by a fraction of the range of u.  A is held as its
+    :class:`Cholesky` factor.  A trial step u - t z along z = A^-1 g is
+    accepted when its energy change dF = F(trial) - F(u) is not positive and
+    either dF <= -ARMIJO t g . z or gradient(trial) . z >= ARMIJO g . z; F
+    is convex, so the latter certifies the same decrease.
     Otherwise the step is halved.  dF is the difference of the two computed
     energies or, where that lies within their rounding (ROUNDING), the
     pair-by-pair :meth:`PairKernel.energy_change`, which resolves changes far
     below one ulp of F.  With a constant p = 2 the first unit step is the
-    exact minimiser.  Later steps alternate the two Barzilai-Borwein scalars
-    of the A-metric, the long (du . A du) / (du . dg) with du . A du = t^2 g .
+    exact minimiser.  The first step and the first after each rebuild are
+    t = 1; later steps alternate the two Barzilai-Borwein scalars of the
+    A-metric, the long (du . A du) / (du . dg) with du . A du = t^2 g .
     z, and the short (du . dg) / (dg . A^-1 dg) with dg . A^-1 dg = g' . z' -
     2 g' . z + g . z, primes marking the new iterate.  The history starts at
     F(u0) and adds each accepted dF, so it rises only if a rising step is
@@ -161,7 +197,8 @@ def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int):
     iterations; minimize wraps this with the non-convergence contract.
     """
     free = kernel.grid.interior
-    inverse = np.linalg.inv(kernel.p2_hessian())
+    factor = Cholesky(kernel.p2_hessian())
+    refresh = 1
     u = u0.copy()
     energy = kernel.energy(u)
     history = [energy]
@@ -177,7 +214,12 @@ def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int):
         if best_residual <= grad_tol or it == max_iter:
             break
 
-        z = inverse @ g[free]
+        if it == refresh:
+            factor = None  # freed before the new matrix is assembled
+            factor = Cholesky(kernel.p2_hessian(u))
+            refresh *= REFRESH
+            step, last = STEP0, None
+        z = factor.solve(g[free])
         gz = float(g[free] @ z)
         if last is not None and last[0] > 0:
             dudg, last_gz, slope = last

@@ -14,7 +14,7 @@ from fpxlab.grid import (
     read_grid_function,
     write_grid_function,
 )
-from fpxlab.operators import PairKernel, tail
+from fpxlab.operators import METRIC_FLOOR, PairKernel, tail
 from fpxlab.regularity import caccioppoli_report
 from fpxlab.spaces import region_pair_terms
 
@@ -221,6 +221,24 @@ def test_p2_hessian_matches_dense_oracle(line_grid, dense):
     expected = 2.0 * (np.diag(coeff[inner].sum(axis=1)) - coeff[np.ix_(inner, inner)])
     hessian = PairKernel(line_grid, constant_field(2.0), 0.5).p2_hessian()
     assert np.allclose(hessian, expected, rtol=1e-13, atol=0.0)
+
+
+def test_iterate_metric_matches_dense_oracle(line_grid, dense, rng):
+    pmat, _, _, coeff = dense(line_grid, product_field(), 0.5)
+    u = rng.normal(size=line_grid.n_nodes)
+    lift = (METRIC_FLOOR * (u.max() - u.min())) ** 2
+    weight = 2.0 * (pmat - 1.0) * coeff * ((u[:, None] - u[None, :]) ** 2 + lift) ** (pmat / 2 - 1.0)
+    inner = line_grid.interior
+    expected = np.diag(weight[inner].sum(axis=1)) - weight[np.ix_(inner, inner)]
+    metric = PairKernel(line_grid, product_field(), 0.5).p2_hessian(u)
+    assert np.allclose(metric, expected, rtol=1e-12, atol=0.0)
+
+
+def test_iterate_metric_at_p2_is_the_p2_hessian(line_grid, rng):
+    kernel = PairKernel(line_grid, constant_field(2.0), 0.5)
+    for u in (rng.normal(size=line_grid.n_nodes), 1e6 * rng.normal(size=line_grid.n_nodes),
+              np.zeros(line_grid.n_nodes)):
+        assert np.array_equal(kernel.p2_hessian(u), kernel.p2_hessian())
 
 
 def test_kernel_symmetry_exact(line_grid, dense):

@@ -1,11 +1,13 @@
 import dataclasses
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fpxlab import regularity
 from fpxlab.exponents import constant_field, radial_field
 from fpxlab.grid import GridGeometryError, ball_mask, build_grid
 from fpxlab.regularity import (
@@ -398,6 +400,7 @@ def test_growth_calibration_agrees_with_full_check(instance, radius, request):
     data=st.one_of(
         st.tuples(st.just("plateau"), st.floats(8.0, 40.0)),  # the height
         st.tuples(st.just("dip"), st.floats(0.5, 2.5)),  # the value on B_(R/4) of a plateau of 40
+        st.tuples(st.just("hollow"), st.floats(2.5, 19.5)),  # the value on B_(R/2) of a plateau of 40
         st.tuples(st.just("radial"), st.floats(0.75, 1.1)),  # the scale of a solved minimiser
     ),
     delta=st.floats(0.0, 0.125, exclude_min=True),
@@ -406,6 +409,7 @@ def test_growth_calibration_agrees_with_full_check(instance, radius, request):
 @example(data=("plateau", 24.0), delta=0.1, gamma=0.5)
 @example(data=("dip", 2.0), delta=0.05, gamma=0.25)
 @example(data=("radial", 1.0), delta=0.125, gamma=0.9)
+@example(data=("hollow", 15.0), delta=0.125, gamma=1e-13)  # no node of B_(R/2) reaches H
 @settings(max_examples=150, deadline=None)
 def test_fixed_scenario_never_beats_calibration(line_grid, radial_growth_solution, data, delta, gamma):
     """Whenever the lemma holds at a fixed (delta, gamma), calibration finds a delta at least as large.
@@ -424,12 +428,32 @@ def test_fixed_scenario_never_beats_calibration(line_grid, radial_growth_solutio
         u = np.where(grid.interior, value if kind == "plateau" else 40.0, 0.0)
         if kind == "dip":  # the conclusion caps the calibrated delta at value / 20 < 1/8
             u[ball_mask(grid, np.zeros(1), radius / 4.0)] = value
+        if kind == "hollow":  # no node of B_(R/2) reaches H = 20, so calibration fails on the mass fraction
+            u[ball_mask(grid, np.zeros(1), radius / 2.0)] = value
     h_level = float(np.max(u[ball_mask(grid, np.zeros(1), radius)])) / 2.0
     scenario = GrowthScenario(x0=(0.0,), radius=radius, H=h_level, delta=delta, gamma=gamma, sigma=sigma)
     fixed = growth_lemma_check(u, field, s, grid, scenario)
     calibrated, _ = calibrate_growth_delta(u, field, s, grid, 0.0, radius, sigma)
     if fixed.hypotheses_met and fixed.conclusion_holds:
         assert calibrated is not None and calibrated >= delta
+
+
+def test_reports_take_the_ball_extrema_given(radial_growth_solution):
+    # diagnose computes the exponent extrema over B_R x B_R once and passes them on
+    grid, field, cfg, result = radial_growth_solution
+    u, radius = result.u, 0.5
+    ball = grid.nodes[ball_mask(grid, np.zeros(1), radius)]
+    extrema = regularity.extrema_over_product(field, ball, ball)
+    level = float(np.quantile(u[grid.interior], 0.5))
+
+    def reports(**given):
+        return (caccioppoli_report(u, field, cfg.s, grid, 0.0, radius / 2.0, radius, [level], **given),
+                calibrate_growth_delta(u, field, cfg.s, grid, 0.0, radius, cfg.sigma, **given),
+                sublevel_energy_check(u, field, cfg.s, grid, 0.0, radius, level, cfg.sigma, cfg.q, **given))
+
+    computed = reports()
+    with mock.patch.object(regularity, "extrema_over_product", side_effect=AssertionError("recomputed")):
+        assert repr(reports(extrema=extrema)) == repr(computed)
 
 
 # -- sublevel energy ------------------------------------------------------------------
