@@ -15,23 +15,29 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# The only BLAS work, the descent's Cholesky factor, runs as fast on one thread
+# up to about 600 interior nodes, while a second thread adds to the start-up of
+# every command process.  A count the user has set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import regularity as reg
-from .config import ConfigError, parse_config
-from .exponents import (
+import numpy as np  # noqa: E402
+
+from . import regularity as reg  # noqa: E402
+from .config import ConfigError, parse_config  # noqa: E402
+from .exponents import (  # noqa: E402
     check_exterior_comparison,
     check_interior_oscillation,
     check_log_holder,
     extrema_over_product,
 )
-from .grid import ball_mask, read_grid_function, write_grid_function
-from .operators import tail
-from .solve import NonConvergenceError, comparison_check, exterior_data, minimize
-from .spaces import lebesgue_norm, sobolev_seminorm
+from .grid import ball_mask, read_grid_function, write_grid_function  # noqa: E402
+from .operators import tail  # noqa: E402
+from .solve import NonConvergenceError, comparison_check, exterior_data, minimize  # noqa: E402
+from .spaces import lebesgue_norm, sobolev_seminorm  # noqa: E402
 
 __all__ = ["main"]
 
@@ -153,13 +159,13 @@ def _cmd_diagnose(args) -> int:
 
     levels = [float(np.quantile(u[grid.interior], t)) for t in (0.25, 0.5, 0.75)]
     ball = grid.nodes[ball_mask(grid, x0, radius)]
-    extrema = extrema_over_product(field, ball, ball)  # over B_R x B_R, shared by three reports
+    extrema = extrema_over_product(field, ball, ball)  # over B_R x B_R, shared by four reports
     # builds the kernel of the pairs that touch B_R, all the estimate reads
     caccioppoli = reg.caccioppoli_report(u, field, s, grid, x0, radius / 2.0, radius, levels, extrema=extrema)
 
     tails = {rep.sign: dataclasses.asdict(rep)
              for rep in tail(grid, field, s, u, x0, radius, ("plus", "minus", "abs"))}
-    sup_rep = reg.sup_bound_check(u, field, s, grid, x0, sigma, radius=radius)
+    sup_rep = reg.sup_bound_check(u, field, s, grid, x0, sigma, radius=radius, extrema=extrema)
 
     shift = float(np.min(u))
     v = u - shift  # growth/sublevel diagnostics expect nonnegative data

@@ -98,13 +98,18 @@ def _as_points(x) -> np.ndarray:
     return a
 
 
-def _pair_norm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|x - y| over the last axis; the squared coordinates are added in order, as np.sum adds them."""
+def _pair_square(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x - y|^2 over the last axis; the squared coordinates are added in order, as np.sum adds them."""
     squares = (x - y) ** 2
     total = squares[..., 0]
     for k in range(1, squares.shape[-1]):
         total = total + squares[..., k]
-    return np.sqrt(total)
+    return total
+
+
+def _pair_norm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x - y| over the last axis."""
+    return np.sqrt(_pair_square(x, y))
 
 
 @dataclass(frozen=True)
@@ -340,10 +345,21 @@ def extrema_over_product(field: ExponentField, pts_a, pts_b, cap: int = 2000) ->
 
     Suprema/infima are taken over sampled pairs; sets sharing points include
     zero-separation pairs, so diagonal-limit values are attained exactly.
-    Sets larger than ``cap`` are thinned deterministically.  The product is
-    swept in the blocks of :func:`row_blocks`, so memory stays bounded
-    whatever the set sizes; for a set against itself only the upper
-    triangle (diagonal included) is evaluated, since p is symmetric.
+    Sets larger than ``cap`` are thinned deterministically.  The field's
+    shape decides where the extrema lie, and each is p at one pair:
+
+    * ``constant``: its value.
+    * ``radial``: omega is non-increasing in |x - y|, so p_+ is omega at the
+      nearest pair and p_- at the farthest.  One sweep finds both squared
+      separations, with no logarithm per pair.
+    * ``product``: p is non-decreasing in |x| and in |y|, so p_- pairs each
+      set's point of least norm and p_+ those of greatest norm.
+    * ``tabulated``: p is evaluated on every pair.
+
+    The pair sweeps run in the blocks of :func:`row_blocks`, so memory stays
+    bounded whatever the set sizes; for a set against itself only the upper
+    triangle (diagonal included) is swept, since p is symmetric.  The
+    extrema equal those of the full product bit for bit.
     """
     a = np.atleast_2d(_as_points(pts_a))
     b = np.atleast_2d(_as_points(pts_b))
@@ -351,14 +367,27 @@ def extrema_over_product(field: ExponentField, pts_a, pts_b, cap: int = 2000) ->
         raise ValueError("extrema_over_product requires nonempty point sets")
     a = _thin(a, cap)
     b = _thin(b, cap)
+    if field.kind == "constant":
+        value = float(field.params["value"])
+        return ProductExtrema(p_minus=value, p_plus=value)
+    if field.kind == "product":
+        na = np.sum(a**2, axis=-1)  # as the field computes |x|, before the root
+        nb = np.sum(b**2, axis=-1)
+        x = a[[np.argmin(na), np.argmax(na)]]
+        y = b[[np.argmin(nb), np.argmax(nb)]]
+        p_minus, p_plus = field.eval(x, y)
+        return ProductExtrema(p_minus=float(p_minus), p_plus=float(p_plus))
+    pair = _pair_square if field.kind == "radial" else field.eval
     same = np.array_equal(a, b)
-    p_minus, p_plus = math.inf, -math.inf
+    lo, hi = math.inf, -math.inf
     for rows in row_blocks(len(a), len(b)):
         first = rows.start if same else 0  # columns before the block lie below the diagonal
-        vals = np.asarray(field.eval(a[rows, None, :], b[None, first:, :]))
-        p_minus = min(p_minus, float(np.min(vals)))
-        p_plus = max(p_plus, float(np.max(vals)))
-    return ProductExtrema(p_minus=p_minus, p_plus=p_plus)
+        vals = pair(a[rows, None, :], b[None, first:, :])
+        lo = min(lo, float(np.min(vals)))
+        hi = max(hi, float(np.max(vals)))
+    if field.kind == "radial":  # the nearest pair has the largest exponent
+        lo, hi = radial_profile(np.sqrt([hi, lo]))
+    return ProductExtrema(p_minus=float(lo), p_plus=float(hi))
 
 
 def _thin(pts: np.ndarray, cap: int) -> np.ndarray:

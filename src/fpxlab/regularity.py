@@ -339,7 +339,8 @@ class SupBoundReport:
 
 
 def sup_bound_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid, x0,
-                    sigma: float, radius: float | None = None) -> SupBoundReport:
+                    sigma: float, radius: float | None = None,
+                    extrema: ProductExtrema | None = None) -> SupBoundReport:
     """Bound sup u over B_(R/2) by averages of u_+ plus tail and unit terms.
 
     The working radius shrinks from ``radius`` (default: most of the room
@@ -348,6 +349,8 @@ def sup_bound_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid, x
     admissible sampled radius, with q placed mid-way inside its admissible
     window.  The bound's constant is existential, so the report only fits
     it: ``c_empirical`` is the smallest constant the instance supports.
+    ``extrema`` are the exponent extrema over B_R x B_R for the given
+    ``radius``, which the first rung then takes instead of computing them.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not 0.0 < sigma < s < 1.0:
@@ -362,7 +365,10 @@ def sup_bound_check(u: np.ndarray, field: ExponentField, s: float, grid: Grid, x
         sel = ball_mask(grid, x0, rt)
         if np.count_nonzero(sel) < 5:
             break
-        ext = extrema_over_product(field, grid.nodes[sel], grid.nodes[sel])
+        if t == 0 and radius is not None and extrema is not None:
+            ext = extrema
+        else:
+            ext = extrema_over_product(field, grid.nodes[sel], grid.nodes[sel])
         if sigma * ext.p_minus >= grid.dim:
             continue
         p_star = grid.dim * ext.p_minus / (grid.dim - sigma * ext.p_minus)

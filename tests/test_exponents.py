@@ -107,25 +107,64 @@ def test_extrema_radial_ball_and_complement(line_grid):
     assert cross.p_minus == pytest.approx(radial_profile(dmax), abs=1e-3)
 
 
+def _tabulated_line_field():
+    """A random symmetric table on 41 nodes over [-2, 2], for the kept pair sweep."""
+    xs = np.linspace(-2.0, 2.0, 41)
+    upper = np.triu(np.random.default_rng(7).uniform(1.2, 3.0, size=(41, 41)))
+    return tabulated_field(xs=xs, table=upper + np.triu(upper, 1).T)
+
+
+def _point_sets(shape, dim, sizes, same, rng):
+    """Two point sets whose pairs probe where the shape rules could slip.
+
+    ``lattice`` samples a default ball the way ``check-exponent`` does, on
+    spacings min(h, R/2) / 2^level, against itself or against the h-lattice
+    outside it; ``junction`` straddles the radial junction 1/e; ``tiny``
+    keeps every separation and norm below 1e-3.
+    """
+    if shape == "lattice":
+        h = 0.04 if dim == 1 else 0.2
+        center = rng.uniform(-0.5, 0.5, size=dim)
+        radius = float(rng.choice([0.4, 0.2, 0.1]))
+        a = exponents._ball_lattice(center, radius, min(h, radius / 2) / 2 ** int(rng.integers(3)))
+        if same:
+            return a, a.copy()
+        around = exponents._ball_lattice(np.zeros(dim), 1.5, h)
+        return a, around[np.linalg.norm(around - center, axis=1) > radius + 1e-12]
+    scale = {"uniform": 1.5, "junction": 1e-3, "tiny": 4e-4}[shape]
+    a = rng.uniform(-scale, scale, size=(sizes[0], dim))
+    if same:
+        return a, a.copy()
+    b = rng.uniform(-scale, scale, size=(sizes[1], dim))
+    if shape == "junction":
+        b[:, 0] += math.exp(-1.0)
+    return a, b
+
+
 @given(
     dim=st.sampled_from([1, 2]),
-    field=st.sampled_from(ALL_FIELDS),
-    sizes=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    field=st.sampled_from(ALL_FIELDS + [_tabulated_line_field()]),
+    shape=st.sampled_from(["uniform", "lattice", "junction", "tiny"]),
+    sizes=st.tuples(st.integers(1, 300), st.integers(1, 300)),
     same=st.booleans(),
     cap=st.sampled_from([3, 11, 2000]),
     block=st.sampled_from([1, 5, 64, 1 << 16]),
     seed=st.integers(0, 2**31 - 1),
 )
-@settings(max_examples=80, deadline=None)
-def test_extrema_match_dense_product(dim, field, sizes, same, cap, block, seed):
-    """The blocked sweep finds the dense product's extrema bit for bit.
+@settings(max_examples=120, deadline=None)
+def test_extrema_match_dense_product(dim, field, shape, sizes, same, cap, block, seed):
+    """The shape rules and the blocked sweep find the dense product's extrema bit for bit.
 
-    ``block`` shrinks the pairs per block so that small sets are swept in
-    several blocks; ``cap`` below the set sizes exercises the thinning.
+    The rules hold only if ``radial_profile`` and ``slow_modulus`` are
+    monotone in float64, so the sets reach the lattices of the exponent
+    checks, a few hundred points, both sides of the radial junction and
+    separations below 1e-3.  ``block`` shrinks the pairs per block so that
+    small sets are swept in several blocks; ``cap`` below the set sizes
+    exercises the thinning.
     """
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(-1.5, 1.5, size=(sizes[0], dim))
-    b = a.copy() if same else rng.uniform(-1.5, 1.5, size=(sizes[1], dim))
+    if field.kind == "tabulated":
+        dim = 1
+    a, b = _point_sets(shape, dim, sizes, same, np.random.default_rng(seed))
     with mock.patch.object(exponents, "_BLOCK_PAIRS", block):
         ext = extrema_over_product(field, a, b, cap=cap)
 

@@ -449,9 +449,11 @@ def test_reports_take_the_ball_extrema_given(radial_growth_solution):
     def reports(**given):
         return (caccioppoli_report(u, field, cfg.s, grid, 0.0, radius / 2.0, radius, [level], **given),
                 calibrate_growth_delta(u, field, cfg.s, grid, 0.0, radius, cfg.sigma, **given),
-                sublevel_energy_check(u, field, cfg.s, grid, 0.0, radius, level, cfg.sigma, cfg.q, **given))
+                sublevel_energy_check(u, field, cfg.s, grid, 0.0, radius, level, cfg.sigma, cfg.q, **given),
+                sup_bound_check(u, field, cfg.s, grid, 0.0, cfg.sigma, radius=radius, **given))
 
     computed = reports()
+    assert computed[3].radius == radius  # the ladder stops at its first rung, B_R
     with mock.patch.object(regularity, "extrema_over_product", side_effect=AssertionError("recomputed")):
         assert repr(reports(extrema=extrema)) == repr(computed)
 
