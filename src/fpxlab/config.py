@@ -3,19 +3,19 @@
 The format is flat text with ``[section]`` headers and ``key = value``
 lines; ``#`` starts a comment.  Parsing validates eagerly and aggregates
 every problem into one :class:`ConfigError` so a bad file reports all its
-defects at once.  ``serialize`` emits the normalized form (sorted sections
-and keys, 17-significant-digit floats); parse(serialize(c)) == c.
+defects at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 from .grid import GridGeometryError, ball_mask, build_grid
 from .solve import SolveConfig, parse_exterior
 
-__all__ = ["RunConfig", "DiagnosticsSpec", "ConfigError", "parse_config", "parse_text", "serialize"]
+__all__ = ["RunConfig", "DiagnosticsSpec", "ConfigError", "parse_config", "parse_text"]
 
 
 class ConfigError(ValueError):
@@ -97,8 +97,12 @@ def _exterior(raw: str) -> str:
     return raw
 
 
-def parse_text(text: str, seed: int | None = None) -> RunConfig:
-    """Parse and validate a configuration; ``seed``, when given, replaces ``problem.seed``."""
+def parse_text(text: str, seed: int | None = None, base=None) -> RunConfig:
+    """Parse and validate a configuration; ``seed``, when given, replaces ``problem.seed``.
+
+    ``base``, when given, is the directory a relative ``field.table`` is read
+    from, and the table must exist there.
+    """
     problems: list = []
     sections = _read_sections(text, problems)
     if seed is not None:
@@ -127,6 +131,10 @@ def parse_text(text: str, seed: int | None = None) -> RunConfig:
     table = _get(sections, "field", "table", str, None, problems)
     if preset == "tabulated" and table is None:
         problems.append({"field": "field.table", "message": "required for the tabulated preset"})
+    elif preset == "tabulated" and base is not None:
+        table = str(Path(base) / table)  # an absolute table stays as it is
+        if not Path(table).is_file():
+            problems.append({"field": "field.table", "message": f"no such file: {table}"})
     if preset == "tabulated" and dim == 2:
         problems.append({"field": "field.preset", "message": "tabulated exponents are 1-D only"})
 
@@ -172,42 +180,6 @@ def parse_text(text: str, seed: int | None = None) -> RunConfig:
 
 
 def parse_config(path, seed: int | None = None) -> RunConfig:
+    """Parse a configuration file; a relative ``field.table`` is read next to it."""
     with open(path) as fh:
-        return parse_text(fh.read(), seed)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, tuple):
-        return ",".join(_fmt(v) for v in value)
-    return str(value)
-
-
-def serialize(config: RunConfig) -> str:
-    """Emit the normalized sectioned form of a configuration."""
-    sv = config.solve
-    dg = config.diagnostics
-    sections = {
-        "grid": {
-            "dim": sv.dim, "center": tuple(sv.center), "halfwidth": tuple(sv.halfwidths),
-            "r_trunc": sv.r_trunc, "nodes_per_axis": sv.nodes_per_axis,
-        },
-        "field": {"preset": sv.field_kind},
-        "problem": {
-            "s": sv.s, "sigma": sv.sigma, "q": sv.q, "exterior": sv.exterior,
-            "grad_tol": sv.grad_tol, "max_iter": sv.max_iter, "seed": sv.seed,
-        },
-        "diagnostics": {"center": tuple(dg.center), "radius": dg.radius},
-    }
-    if sv.field_kind == "constant":
-        sections["field"]["value"] = sv.field_params.get("value", 2.0)
-    if sv.field_kind == "tabulated":
-        sections["field"]["table"] = sv.field_params.get("table", "")
-    out = []
-    for name in sorted(sections):
-        out.append(f"[{name}]")
-        for key in sorted(sections[name]):
-            out.append(f"{key} = {_fmt(sections[name][key])}")
-        out.append("")
-    return "\n".join(out)
+        return parse_text(fh.read(), seed, Path(path).parent)

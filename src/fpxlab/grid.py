@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "GridGeometryError", "build_grid", "ball_mask", "box_mask",
+__all__ = ["Grid", "GridGeometryError", "build_grid", "ball_mask",
            "read_grid_function", "write_grid_function", "SPHERE_MEASURE"]
 
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi}  # |S^(dim-1)|
@@ -53,9 +53,6 @@ class Grid:
     @property
     def exterior(self) -> np.ndarray:
         return ~self.interior
-
-    def domain_measure(self) -> float:
-        return float(np.count_nonzero(self.interior)) * self.measure
 
     def room(self, x0) -> float:
         """Max-norm distance from x0 to the domain boundary; B_r(x0) has its closure inside iff r < room."""
@@ -123,12 +120,6 @@ def ball_mask(grid: Grid, x0, radius: float) -> np.ndarray:
                                 f"inside the domain: radius < {room:.17g} is needed there")
     dist = np.sqrt(np.sum((grid.nodes - x0) ** 2, axis=1))
     return dist <= radius * (1 + 1e-12) + 1e-15
-
-
-def box_mask(grid: Grid, lo, hi) -> np.ndarray:
-    """Boolean node mask of the half-open box [lo, hi)."""
-    return _in_half_open_box(grid.nodes, np.atleast_1d(np.asarray(lo, dtype=float)),
-                             np.atleast_1d(np.asarray(hi, dtype=float)), grid.h)
 
 
 def _in_half_open_box(nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: float) -> np.ndarray:

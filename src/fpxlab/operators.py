@@ -1,4 +1,4 @@
-"""Discrete nonlocal energy, operator, weak form, and tail integrals.
+"""Discrete nonlocal energy, its gradient, weak form, and tail integrals.
 
 All pairwise sums share one precomputed :class:`PairKernel`, a list of the
 admissible unordered node pairs: midpoint quadrature with uniform cell
@@ -140,10 +140,6 @@ class PairKernel:
             np.add.at(into, j, flux)
         return out - into
 
-    def operator(self, u: np.ndarray) -> np.ndarray:
-        """Nodal operator values L(u)_k; meaningful on interior nodes of the region."""
-        return self.gradient(u) / (2.0 * self.grid.measure)
-
     def weak_residual(self, u: np.ndarray, phi: np.ndarray):
         """Bilinear pairing E(u, phi) = gradient(u) . phi for phi vanishing off the region's interior nodes.
 
@@ -156,10 +152,6 @@ class PairKernel:
             raise ValueError("test function must vanish off the interior nodes of the kernel's region")
         g = self.gradient(u)
         return float(g @ phi) if phi.ndim == 1 else [float(g @ row) for row in phi]
-
-    def residual_norm(self, u: np.ndarray) -> float:
-        """The weighted nodal residual of u (:func:`weighted_residual`)."""
-        return weighted_residual(self.grid, self.gradient(u))
 
     def p2_hessian(self, u: np.ndarray | None = None) -> np.ndarray:
         """The interior matrix sum_k w_k (e_i - e_j)(e_i - e_j)^T: the p = 2 Hessian, or a metric at u.

@@ -2,11 +2,12 @@
 
 Implements level truncations, the level-set energy (Caccioppoli-type)
 estimate with an explicit constant traced through its proof chain, the
-pointwise algebraic inequality that drives it, the geometric iteration
-lemma with its exact smallness threshold and decay bound, the quantitative
-supremum bound, growth-lemma hypothesis/conclusion checking with a
-calibrated positivity constant, the sublevel-set energy bound, and a dyadic
-oscillation fit that estimates a Holder exponent empirically.
+constant of the pointwise algebraic inequality that drives it, the
+geometric iteration lemma with its exact smallness threshold and decay
+bound, the quantitative supremum bound, growth-lemma hypothesis/conclusion
+checking with a calibrated positivity constant, the sublevel-set energy
+bound, and a dyadic oscillation fit that estimates a Holder exponent
+empirically.
 
 Constants come in two kinds and the reports keep them apart: constants the
 theory makes explicit (the algebraic inequality constant, the assembled
@@ -31,7 +32,6 @@ from .spaces import region_pair_terms
 __all__ = [
     "truncate_level",
     "algebraic_constant",
-    "algebraic_inequality_check",
     "CaccioppoliReport",
     "caccioppoli_report",
     "DeGiorgiParams",
@@ -79,34 +79,6 @@ def algebraic_constant(p_minus: float, p_plus: float) -> float:
     if not 1.0 < p_minus <= p_plus:
         raise ValueError("need 1 < p_minus <= p_plus")
     return (p_plus / p_minus) * (2.0 * p_plus) ** (p_plus - 1.0)
-
-
-def algebraic_inequality_check(a, b, tau1, tau2, p, p_minus, p_plus):
-    """Check the discrete cutoff inequality on (arrays of) tuples.
-
-    lhs = |a-b|^(p-2) (a-b) (a tau1^p_+ - b tau2^p_+) dominates
-    rhs = 1/2 |a-b|^p max(tau1, tau2)^p_+ - C max(a, b)^p |tau1 - tau2|^p
-    with the explicit C above.  Returns (lhs, rhs, holds) where ``holds``
-    allows 1e-9 absolute slack.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    tau1 = np.asarray(tau1, dtype=float)
-    tau2 = np.asarray(tau2, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if np.any(a < 0) or np.any(b < 0):
-        raise ValueError("a, b must be nonnegative")
-    if np.any((tau1 < 0) | (tau1 > 1) | (tau2 < 0) | (tau2 > 1)):
-        raise ValueError("tau1, tau2 must lie in [0, 1]")
-    if np.any((p < p_minus) | (p > p_plus)):
-        raise ValueError("p must lie in [p_minus, p_plus]")
-    c = algebraic_constant(p_minus, p_plus)
-    d = a - b
-    signed = np.sign(d) * np.abs(d) ** (p - 1.0)
-    lhs = signed * (a * tau1**p_plus - b * tau2**p_plus)
-    rhs = 0.5 * np.abs(d) ** p * np.maximum(tau1, tau2) ** p_plus \
-        - c * np.maximum(a, b) ** p * np.abs(tau1 - tau2) ** p
-    return lhs, rhs, lhs >= rhs - 1e-9
 
 
 # ---------------------------------------------------------------------------

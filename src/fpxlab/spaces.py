@@ -1,4 +1,4 @@
-"""Modulars, Luxemburg norms, and the constant-exponent embedding bound.
+"""Modulars and Luxemburg norms of grid functions.
 
 Grid functions live on :class:`~fpxlab.grid.Grid` nodes; a *region* is a
 boolean node mask.  The Lebesgue modular sums m |u|^pbar over the region
@@ -22,25 +22,19 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exponents import ExponentField, extrema_over_product, node_pairs, pairwise_sum
-from .grid import SPHERE_MEASURE, Grid
+from .exponents import ExponentField, node_pairs, pairwise_sum
+from .grid import Grid
 
 __all__ = [
     "ModularResult",
     "NormResult",
-    "EmbeddingReport",
     "ModularDivergenceError",
     "lebesgue_modular",
     "luxemburg_norm",
     "region_pair_terms",
     "gagliardo_modular",
     "sobolev_seminorm",
-    "combined_modular",
-    "combined_norm",
     "lebesgue_norm",
-    "holder_product_check",
-    "conjugate_exponent",
-    "embedding_bound",
 ]
 
 class ModularDivergenceError(RuntimeError):
@@ -236,113 +230,3 @@ def sobolev_seminorm(u, field, s, grid, region=None, tol: float = 1e-10) -> Norm
     # the Gagliardo modular of u / lam is sum_ij t_ij lam^(-p_ij)
     terms, p = region_pair_terms(u, field, s, grid, region)
     return luxemburg_norm(lambda lam: _scaled_sum(terms, p, lam), tol)
-
-
-def combined_modular(u, field, s, grid, region=None) -> ModularResult:
-    mask = _region_mask(grid, region)
-    pbar = np.asarray(field.diagonal(grid.nodes))
-    value = (
-        lebesgue_modular(u, pbar, grid, mask).value
-        + gagliardo_modular(u, field, s, grid, mask).value
-    )
-    return ModularResult(value)
-
-
-def combined_norm(u, field, s, grid, region=None, tol: float = 1e-10) -> NormResult:
-    # the combined modular of u / lam is sum_i m |u_i|^pbar_i lam^(-pbar_i) + sum_ij t_ij lam^(-p_ij)
-    mask = _region_mask(grid, region)
-    pbar = np.asarray(field.diagonal(grid.nodes))[mask]
-    pair_terms, p = region_pair_terms(u, field, s, grid, mask)
-    terms = np.concatenate([grid.measure * np.abs(u[mask]) ** pbar, pair_terms])
-    expo = np.concatenate([pbar, p])
-    return luxemburg_norm(lambda lam: _scaled_sum(terms, expo, lam), tol)
-
-
-def conjugate_exponent(p):
-    p = np.asarray(p, dtype=float)
-    with np.errstate(divide="ignore"):  # entries outside the region may equal 1
-        return p / (p - 1.0)
-
-
-def holder_product_check(u, v, pbar, grid, region=None, tol: float = 1e-10):
-    """Measured ratio of sum m|uv| against 2 ||u||_pbar ||v||_pbar'.
-
-    Returns (ok, ratio); the product inequality holds when ratio <= 1.
-    """
-    mask = _region_mask(grid, region)
-    pbar = np.asarray(pbar)
-    if np.any(pbar[mask] <= 1.0):
-        raise ValueError("conjugate pairing needs pbar > 1 on the region")
-    lhs = grid.measure * np.sum(np.abs(u[mask] * v[mask]))
-    nu = lebesgue_norm(u, pbar, grid, mask, tol).value
-    nv = lebesgue_norm(v, conjugate_exponent(pbar), grid, mask, tol).value
-    rhs = 2.0 * nu * nv
-    if rhs == 0.0:
-        return lhs == 0.0, 0.0
-    ratio = lhs / rhs
-    return bool(ratio <= 1.0 + 1e-12), float(ratio)
-
-
-@dataclass
-class EmbeddingReport:
-    lhs: float
-    rhs: float
-    passed: bool
-    c_explicit: float
-    c_empirical: float
-    seminorm: float
-
-
-def embedding_bound(u, field, s, sigma, q, grid, region_small, region=None,
-                    tol: float = 1e-10) -> EmbeddingReport:
-    """Lower-order double-sum bound by the variable-exponent seminorm.
-
-    lhs = (sum over region_small x region of m^2 |du|^q / |dx|^(dim + sigma q))^(1/q)
-    is bounded by C * max_i (|A| d^beta)^(e_i) * [u], where A = region_small,
-    d = diam(region) <= 1, beta = (s - sigma) p_+ q / (p_+ - q), and the two
-    exponents e_i are (p_+/- - q)/(p_+/- q).  C is assembled from the product
-    Holder inequality (factor 2) and the kernel mass K =
-    (p_+ - q) |S^(dim-1)| / ((s - sigma) p_+ q):
-
-        C = 2^(1/q) * max(K^e1, K^e2).
-    """
-    if not 0.0 < sigma < s < 1.0:
-        raise ValueError("need 0 < sigma < s < 1")
-    mask_small = _region_mask(grid, region_small)
-    mask = _region_mask(grid, grid.interior if region is None else region)
-    if np.any(mask_small & ~mask):
-        raise ValueError("region_small must be contained in region")
-    pts = grid.nodes[mask]
-    d = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))  # bounding-box diameter
-    if d > 1.0 + 1e-12:
-        raise ValueError("region diameter must not exceed 1")
-
-    ext = extrema_over_product(field, pts, pts)
-    p_minus, p_plus = ext.p_minus, ext.p_plus
-    if not q < p_minus:
-        raise ValueError("need q < p_- on the region")
-    if q < 1.0:
-        raise ValueError("need q >= 1")
-
-    terms, _ = region_pair_terms(u, q, sigma, grid, mask_small, mask)
-    lhs = float(np.sum(terms)) ** (1.0 / q)
-
-    seminorm = sobolev_seminorm(u, field, s, grid, mask, tol).value
-    a_measure = float(np.count_nonzero(mask_small)) * grid.measure
-    beta = (s - sigma) * p_plus * q / (p_plus - q)
-    e1 = (p_plus - q) / (p_plus * q)
-    e2 = (p_minus - q) / (p_minus * q)
-    base = a_measure * d**beta
-    kmass = (p_plus - q) * SPHERE_MEASURE[grid.dim] / ((s - sigma) * p_plus * q)
-    c_explicit = 2.0 ** (1.0 / q) * max(kmass**e1, kmass**e2)
-    envelope = max(base**e1, base**e2)
-    rhs = c_explicit * envelope * seminorm
-    c_emp = lhs / (envelope * seminorm) if envelope * seminorm > 0 else 0.0
-    return EmbeddingReport(
-        lhs=float(lhs),
-        rhs=float(rhs),
-        passed=bool(lhs <= rhs * (1 + 1e-12)),
-        c_explicit=float(c_explicit),
-        c_empirical=float(c_emp),
-        seminorm=float(seminorm),
-    )

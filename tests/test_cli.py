@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from fpxlab.cli import main
-from fpxlab.config import _SECTIONS, ConfigError, DiagnosticsSpec, parse_text, serialize
-from fpxlab.grid import read_grid_function, write_grid_function
+from fpxlab.config import _SECTIONS, ConfigError, DiagnosticsSpec, parse_text
+from fpxlab.grid import build_grid, read_grid_function, write_grid_function
 from fpxlab.spaces import gagliardo_modular, lebesgue_modular
+
+from conftest import write_exponent_table
 
 BASE_CONFIG = """\
 [grid]
@@ -101,9 +103,12 @@ def test_parse_rejects_removed_scales_key(field, value):
     (("radius = 0.5", "radius = 0.5\ndyadic_levels = 3"), [], "diagnostics.dyadic_levels"),
     (("radius = 0.5", "radius = 0.5\ngamma = 0.25"), [], "diagnostics.gamma"),
     (("radius = 0.5", "radius = 0.5\ndelta = 0.1"), [], "diagnostics.delta"),
+    # a relative table is read next to the config, where there is none
+    (("preset = radial", "preset = tabulated\ntable = field.csv"), [], "field.table"),
 ], ids=["exterior-kind", "exterior-number", "halfwidth-alignment", "seed",
         "ball-radius", "ball-near-boundary", "ball-center-outside",
-        "removed-inner_factor", "removed-levels", "removed-dyadic_levels", "removed-gamma", "removed-delta"])
+        "removed-inner_factor", "removed-levels", "removed-dyadic_levels", "removed-gamma", "removed-delta",
+        "missing-table"])
 def test_config_rejects_what_the_run_would_reject(tmp_path, capsys, edit, argv, field):
     path = tmp_path / "run.cfg"
     path.write_text(BASE_CONFIG.replace(*edit) if edit else BASE_CONFIG)
@@ -128,15 +133,6 @@ def test_default_ball_follows_the_grid(tmp_path, text, center, radius):
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
     assert main(["diagnose", "--config", str(path), "--input", str(out / "solution.csv"),
                  "--out", str(out)]) == 0
-
-
-def test_serialize_round_trip():
-    cfg = parse_text(BASE_CONFIG)
-    normalized = serialize(cfg)
-    again = parse_text(normalized)
-    assert serialize(again) == normalized
-    assert again.solve == cfg.solve
-    assert again.diagnostics == cfg.diagnostics
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -306,6 +302,25 @@ def test_check_exponent_product_fails(tmp_path, capsys):
     assert err["code"] == "exponent_condition"
     report = json.loads((out / "exponent.json").read_text())
     assert not report["log_holder"]["passed"]
+
+
+def test_tabulated_table_is_read_next_to_the_config(tmp_path, monkeypatch):
+    # a relative field.table names a file beside the config, wherever the command runs
+    home = tmp_path / "config"
+    home.mkdir()
+    write_exponent_table(home / "field.csv", build_grid(1, 0.0, 1.0, 1.5, 121))
+    (home / "run.cfg").write_text("[grid]\nr_trunc = 1.5\nnodes_per_axis = 121\n\n"
+                                  "[field]\npreset = tabulated\ntable = field.csv\n\n[problem]\nexterior = linear\n")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    args = ["--config", str(home / "run.cfg"), "--out", "out"]
+    assert main(["solve", *args]) == 0
+    assert main(["norms", *args, "--input", "out/solution.csv"]) == 0
+    assert main(["diagnose", *args, "--input", "out/solution.csv"]) == 0
+    assert main(["check-exponent", *args]) == 0
+    assert sorted(path.name for path in (elsewhere / "out").iterdir()) == [
+        "diagnostics.json", "energy_history.csv", "exponent.json", "norms.json", "solution.csv", "solve.json"]
 
 
 def test_config_error_json(tmp_path, capsys):

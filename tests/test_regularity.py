@@ -15,7 +15,6 @@ from fpxlab.regularity import (
     GrowthScenario,
     ResolutionError,
     algebraic_constant,
-    algebraic_inequality_check,
     caccioppoli_report,
     calibrate_growth_delta,
     degiorgi_iterate,
@@ -27,6 +26,8 @@ from fpxlab.regularity import (
 )
 from fpxlab.operators import PairKernel, tail
 from fpxlab.solve import SolveConfig, exterior_data, minimize
+
+from conftest import algebraic_inequality_check
 
 
 @pytest.fixture(scope="module")

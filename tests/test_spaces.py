@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,20 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpxlab import spaces
-from fpxlab.exponents import constant_field, product_field, radial_field
-from fpxlab.grid import box_mask, build_grid
+from fpxlab.exponents import constant_field, extrema_over_product, product_field, radial_field
+from fpxlab.grid import SPHERE_MEASURE, build_grid
 from fpxlab.spaces import (
     ModularDivergenceError,
-    combined_modular,
-    combined_norm,
-    embedding_bound,
+    _region_mask,
     gagliardo_modular,
-    holder_product_check,
     lebesgue_modular,
     lebesgue_norm,
     luxemburg_norm,
+    region_pair_terms,
     sobolev_seminorm,
 )
+
+from conftest import box_mask
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +148,6 @@ NORMS = {
     "lebesgue": lambda u, field, grid, region: lebesgue_norm(
         u, 2.0 + grid.nodes[:, 0] ** 2, grid, region),
     "seminorm": lambda u, field, grid, region: sobolev_seminorm(u, field, 0.5, grid, region),
-    "combined": lambda u, field, grid, region: combined_norm(u, field, 0.5, grid, region),
 }
 
 
@@ -244,51 +244,34 @@ def test_gagliardo_sandwich(unit_grid, unit_region, rng):
             assert norm**p_hi <= mod * (1 + 1e-8) and mod <= norm**p_lo * (1 + 1e-8)
 
 
-def test_combined_modular_sandwich(unit_grid, unit_region, rng):
-    # unit-ball sandwich for the combined modular and its norm
-    f = radial_field()
-    for _ in range(20):
-        u = rng.normal(size=unit_grid.n_nodes) * rng.uniform(0.2, 5.0)
-        norm = combined_norm(u, f, 0.5, unit_grid, unit_region).value
-        mod = combined_modular(u, f, 0.5, unit_grid, unit_region).value
-        p_lo, p_hi = 1.5, 3.0
-        if norm >= 1:
-            assert norm**p_lo <= mod * (1 + 1e-8)
-            assert mod <= norm**p_hi * (1 + 1e-8)
-        else:
-            assert norm**p_hi <= mod * (1 + 1e-8)
-            assert mod <= norm**p_lo * (1 + 1e-8)
-
-
-def test_norm_comparability(unit_grid, unit_region, rng):
-    # the sum norm and the combined-modular norm are 2-comparable
-    f = radial_field()
-    pbar = np.asarray(f.diagonal(unit_grid.nodes))
-    for _ in range(10):
-        u = rng.normal(size=unit_grid.n_nodes) * rng.uniform(0.1, 10.0)
-        total = lebesgue_norm(u, pbar, unit_grid, unit_region).value \
-            + sobolev_seminorm(u, f, 0.5, unit_grid, unit_region).value
-        single = combined_norm(u, f, 0.5, unit_grid, unit_region).value
-        assert single <= total * (1 + 1e-8)
-        assert total <= 2.0 * single * (1 + 1e-8)
-
-
 # -- product (Holder) inequality ----------------------------------------------
+
+
+def _product_ratio(u, v, pbar, grid, region):
+    """m sum |uv| over 2 ||u||_pbar ||v||_pbar' on the region, pbar' = pbar / (pbar - 1).
+
+    The variable-exponent Holder inequality puts it at most 1.
+    """
+    with np.errstate(divide="ignore"):  # pbar may equal 1 off the region
+        conjugate = pbar / (pbar - 1.0)
+    lhs = grid.measure * np.sum(np.abs(u[region] * v[region]))
+    norms = lebesgue_norm(u, pbar, grid, region).value * lebesgue_norm(v, conjugate, grid, region).value
+    return lhs / (2.0 * norms)
 
 
 def test_holder_product_unit_case(unit_grid, unit_region):
     pbar = np.full(unit_grid.n_nodes, 2.0)
     ones = np.ones(unit_grid.n_nodes)
-    ok, ratio = holder_product_check(ones, ones, pbar, unit_grid, unit_region)
-    assert ok
+    ratio = _product_ratio(ones, ones, pbar, unit_grid, unit_region)
+    assert ratio <= 1.0 + 1e-12
     assert ratio == pytest.approx(0.5, abs=1e-9)
 
 
 def test_holder_product_cauchy_schwarz(unit_grid, unit_region, rng):
     pbar = np.full(unit_grid.n_nodes, 2.0)
     u = rng.normal(size=unit_grid.n_nodes)
-    ok, ratio = holder_product_check(u, u, pbar, unit_grid, unit_region)
-    assert ok
+    ratio = _product_ratio(u, u, pbar, unit_grid, unit_region)
+    assert ratio <= 1.0 + 1e-12
     assert ratio == pytest.approx(0.5, abs=1e-9)  # equality case, halved by the factor 2
 
 
@@ -297,11 +280,76 @@ def test_holder_product_sweep(unit_grid, unit_region, rng):
     for _ in range(100):
         u = rng.normal(size=unit_grid.n_nodes)
         v = rng.normal(size=unit_grid.n_nodes)
-        ok, ratio = holder_product_check(u, v, pbar, unit_grid, unit_region)
-        assert ok and ratio <= 1.0
+        ratio = _product_ratio(u, v, pbar, unit_grid, unit_region)
+        assert ratio <= 1.0
 
 
 # -- embedding bound ------------------------------------------------------------
+
+
+@dataclass
+class EmbeddingReport:
+    lhs: float
+    rhs: float
+    passed: bool
+    c_explicit: float
+    c_empirical: float
+    seminorm: float
+
+
+def embedding_bound(u, field, s, sigma, q, grid, region_small, region=None,
+                    tol: float = 1e-10) -> EmbeddingReport:
+    """Lower-order double-sum bound by the variable-exponent seminorm.
+
+    lhs = (sum over region_small x region of m^2 |du|^q / |dx|^(dim + sigma q))^(1/q)
+    is bounded by C * max_i (|A| d^beta)^(e_i) * [u], where A = region_small,
+    d = diam(region) <= 1, beta = (s - sigma) p_+ q / (p_+ - q), and the two
+    exponents e_i are (p_+/- - q)/(p_+/- q).  C is assembled from the product
+    Holder inequality (factor 2) and the kernel mass K =
+    (p_+ - q) |S^(dim-1)| / ((s - sigma) p_+ q):
+
+        C = 2^(1/q) * max(K^e1, K^e2).
+    """
+    if not 0.0 < sigma < s < 1.0:
+        raise ValueError("need 0 < sigma < s < 1")
+    mask_small = _region_mask(grid, region_small)
+    mask = _region_mask(grid, grid.interior if region is None else region)
+    if np.any(mask_small & ~mask):
+        raise ValueError("region_small must be contained in region")
+    pts = grid.nodes[mask]
+    d = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))  # bounding-box diameter
+    if d > 1.0 + 1e-12:
+        raise ValueError("region diameter must not exceed 1")
+
+    ext = extrema_over_product(field, pts, pts)
+    p_minus, p_plus = ext.p_minus, ext.p_plus
+    if not q < p_minus:
+        raise ValueError("need q < p_- on the region")
+    if q < 1.0:
+        raise ValueError("need q >= 1")
+
+    terms, _ = region_pair_terms(u, q, sigma, grid, mask_small, mask)
+    lhs = float(np.sum(terms)) ** (1.0 / q)
+
+    seminorm = sobolev_seminorm(u, field, s, grid, mask, tol).value
+    a_measure = float(np.count_nonzero(mask_small)) * grid.measure
+    beta = (s - sigma) * p_plus * q / (p_plus - q)
+    e1 = (p_plus - q) / (p_plus * q)
+    e2 = (p_minus - q) / (p_minus * q)
+    base = a_measure * d**beta
+    kmass = (p_plus - q) * SPHERE_MEASURE[grid.dim] / ((s - sigma) * p_plus * q)
+    c_explicit = 2.0 ** (1.0 / q) * max(kmass**e1, kmass**e2)
+    envelope = max(base**e1, base**e2)
+    rhs = c_explicit * envelope * seminorm
+    c_emp = lhs / (envelope * seminorm) if envelope * seminorm > 0 else 0.0
+    return EmbeddingReport(
+        lhs=float(lhs),
+        rhs=float(rhs),
+        passed=bool(lhs <= rhs * (1 + 1e-12)),
+        c_explicit=float(c_explicit),
+        c_empirical=float(c_emp),
+        seminorm=float(seminorm),
+    )
 
 
 def test_embedding_constant_function(unit_grid, unit_region):

@@ -31,7 +31,7 @@ def plane_solution(plane_grid):
 
 def test_anisotropic_domain_measure():
     grid = build_grid(2, (0.0, 0.0), (1.0, 0.5), 3.0, 25)
-    assert grid.domain_measure() == pytest.approx(2.0, abs=1e-12)
+    assert np.count_nonzero(grid.interior) * grid.measure == pytest.approx(2.0, abs=1e-12)
     assert grid.circumradius == pytest.approx(math.hypot(1.0, 0.5))
 
 
