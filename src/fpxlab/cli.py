@@ -146,6 +146,16 @@ def _cmd_norms(args) -> int:
     return 0
 
 
+def _quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` bit for bit, by numpy's own lerp, from the values sorted ascending;
+    ``np.quantile`` itself imports ``numpy.ma``."""
+    virtual = (len(ordered) - 1) * q
+    lo = -1 if virtual >= len(ordered) - 1 else int(virtual)  # numpy's floor index, -1 for the last value
+    a, b = ordered[lo], ordered[-1 if lo == -1 else lo + 1]
+    t = virtual - lo
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def _cmd_diagnose(args) -> int:
     config, grid, field = _load_run(args)
     out = _out_dir(args)
@@ -157,10 +167,10 @@ def _cmd_diagnose(args) -> int:
     x0 = np.asarray(dg.center)
     radius = dg.radius
 
-    levels = [float(np.quantile(u[grid.interior], t)) for t in (0.25, 0.5, 0.75)]
+    ordered = np.sort(u[grid.interior])
+    levels = [_quantile(ordered, t) for t in (0.25, 0.5, 0.75)]
     ball = grid.nodes[ball_mask(grid, x0, radius)]
     extrema = extrema_over_product(field, ball, ball)  # over B_R x B_R, shared by four reports
-    # builds the kernel of the pairs that touch B_R, all the estimate reads
     caccioppoli = reg.caccioppoli_report(u, field, s, grid, x0, radius / 2.0, radius, levels, extrema=extrema)
 
     tails = {rep.sign: dataclasses.asdict(rep)
@@ -176,7 +186,7 @@ def _cmd_diagnose(args) -> int:
         delta, growth = None, None
 
     sublevel = []
-    median = float(np.quantile(v[grid.interior], 0.5))
+    median = _quantile(ordered - shift, 0.5)  # v sorted, since subtracting one value keeps the order
     if median > 0:
         sublevel.append(dataclasses.asdict(
             reg.sublevel_energy_check(v, field, s, grid, x0, radius, median, sigma, q, extrema=extrema)))

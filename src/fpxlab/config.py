@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .exponents import tabulated_field
 from .grid import GridGeometryError, ball_mask, build_grid
 from .solve import SolveConfig, parse_exterior
 
@@ -101,7 +102,7 @@ def parse_text(text: str, seed: int | None = None, base=None) -> RunConfig:
     """Parse and validate a configuration; ``seed``, when given, replaces ``problem.seed``.
 
     ``base``, when given, is the directory a relative ``field.table`` is read
-    from, and the table must exist there.
+    from, and the table there must exist and pass the field's own checks.
     """
     problems: list = []
     sections = _read_sections(text, problems)
@@ -133,8 +134,10 @@ def parse_text(text: str, seed: int | None = None, base=None) -> RunConfig:
         problems.append({"field": "field.table", "message": "required for the tabulated preset"})
     elif preset == "tabulated" and base is not None:
         table = str(Path(base) / table)  # an absolute table stays as it is
-        if not Path(table).is_file():
-            problems.append({"field": "field.table", "message": f"no such file: {table}"})
+        try:
+            tabulated_field(path=table)  # the table as the run reads and checks it
+        except (OSError, ValueError) as err:
+            problems.append({"field": "field.table", "message": str(err)})
     if preset == "tabulated" and dim == 2:
         problems.append({"field": "field.preset", "message": "tabulated exponents are 1-D only"})
 

@@ -200,24 +200,28 @@ def tabulated_field(path=None, xs=None, table=None) -> ExponentField:
     """Build a 1-D tabulated field from a CSV of (x, y, p) rows or arrays.
 
     The table must cover the full product of its node set and be symmetric;
-    lookups snap to the nearest node within half a node spacing.
+    lookups snap to the nearest node within half a node spacing.  A CSV cell
+    that is not a number is reported with its line and column.
     """
     if path is not None:
-        raw = np.genfromtxt(path, delimiter=",", names=True)
-        if raw.dtype.names is None or tuple(raw.dtype.names) != ("x", "y", "p"):
+        with open(path) as fh:
+            rows = [(at, line.split(",")) for at, line in enumerate(fh, start=1) if line.strip()]
+        if not rows or [name.strip() for name in rows[0][1]] != ["x", "y", "p"]:
             raise ValueError("tabulated field CSV must have header x,y,p")
-        xcol = np.atleast_1d(raw["x"])
-        ycol = np.atleast_1d(raw["y"])
-        pcol = np.atleast_1d(raw["p"])
+        values = []
+        for at, cells in rows[1:]:
+            if len(cells) != 3:
+                raise ValueError(f"tabulated field CSV line {at} must have 3 cells x,y,p")
+            for name, cell in zip("xyp", cells):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"tabulated field CSV line {at}, column {name}: {cell.strip()!r} is not a number") from None
+        xcol, ycol, pcol = np.array(values).reshape(-1, 3).T
         xs = np.unique(xcol)
-        n = len(xs)
-        if len(pcol) != n * n:
-            raise ValueError("tabulated field CSV must cover the full node product")
-        table = np.full((n, n), np.nan)
-        ix = np.searchsorted(xs, xcol)
-        iy = np.searchsorted(xs, ycol)
-        table[ix, iy] = pcol
-        if np.any(np.isnan(table)):
+        table = np.full((len(xs), len(xs)), np.nan)
+        table[np.searchsorted(xs, xcol), np.searchsorted(xs, ycol)] = pcol
+        if len(pcol) != table.size or np.any(np.isnan(table)):
             raise ValueError("tabulated field CSV must cover the full node product")
     else:
         xs = np.asarray(xs, dtype=float)
@@ -276,7 +280,8 @@ def node_pairs(grid, rows, partners, radius: float, keep=None) -> tuple:
     reads integer offsets and masks alone, and only the fill pass computes
     distances.  Both sweep the row blocks of :func:`row_blocks`; pairs come
     row by row, ``i`` ascending, and ``j`` ascending within a row.  Returns
-    the pair count and an iterator of (output slice, i, j, distance) blocks.
+    the count pass, a function giving the pair count, and the fill pass, an
+    iterator of (i, j, distance) blocks.
     """
     shape = (grid.nodes_per_axis,) * grid.dim
     rows = np.flatnonzero(rows)
@@ -303,16 +308,15 @@ def node_pairs(grid, rows, partners, radius: float, keep=None) -> tuple:
         return i, j, partners[j] if keep is None else partners[j] & keep(i, j)
 
     blocks = row_blocks(len(rows), len(offsets))
-    ends = np.cumsum([0] + [np.count_nonzero(candidates(block)[2]) for block in blocks])
 
-    def fill():
-        for block, start, stop in zip(blocks, ends[:-1], ends[1:]):
-            i, j, kept = candidates(block)
-            i, j = i[kept], j[kept]
-            # the sum over axes equals np.sum over a last axis of length 1 or 2 bit for bit
-            yield slice(start, stop), i, j, np.sqrt(sum((x[i] - x[j]) ** 2 for x in coords))
+    def fill(block):
+        i, j, kept = candidates(block)
+        i, j = i[kept], j[kept]
+        # the sum over axes equals np.sum over a last axis of length 1 or 2 bit for bit
+        return i, j, np.sqrt(sum((x[i] - x[j]) ** 2 for x in coords))
 
-    return int(ends[-1]), fill()
+    # the fill pass is lazy, and holds no block once it is handed out
+    return (lambda: sum(int(np.count_nonzero(candidates(block)[2])) for block in blocks)), map(fill, blocks)
 
 
 def pairwise_sum(values, start: int, stop: int) -> float:
@@ -588,26 +592,23 @@ def check_log_holder(
     lo = np.concatenate([grid.center - grid.halfwidths] * 2)
     hi = np.concatenate([grid.center + grid.halfwidths] * 2)
 
+    dim = grid.dim
+    p_base = field.eval(pairs[:, :dim], pairs[:, dim:])  # once; every direction and scale moves from it
     rows = []
     for scale in scales:
-        shifted = pairs[:, None, :] + scale * dirs[None, :, :]
-        ok = np.all((shifted >= lo) & (shifted <= hi), axis=-1)
-        flat = shifted.reshape(-1, 2 * grid.dim)
-        keep = ok.ravel()
-        basef = np.broadcast_to(pairs[:, None, :], shifted.shape).reshape(-1, 2 * grid.dim)
-        p0 = field.eval(basef[keep, : grid.dim], basef[keep, grid.dim :])
-        p1 = field.eval(flat[keep, : grid.dim], flat[keep, grid.dim :])
-        delta = np.abs(p1 - p0)
-        j = int(np.argmax(delta))
-        measure = float(np.max(delta) * math.log(1.0 / scale))
-        rows.append(
-            {
-                "scale": scale,
-                "measure": measure,
-                "worst_pair": basef[keep][j].tolist(),
-                "worst_delta": float(delta[j]),
-            }
-        )
+        # per direction, the largest change and the first base pair reaching it
+        largest = []
+        for d in dirs:
+            shifted = pairs + scale * d
+            kept = np.flatnonzero(np.all((shifted >= lo) & (shifted <= hi), axis=-1))
+            if len(kept):
+                delta = np.abs(field.eval(shifted[kept, :dim], shifted[kept, dim:]) - p_base[kept])
+                at = int(np.argmax(delta))
+                largest.append((float(delta[at]), int(kept[at])))
+        # the largest change over every direction, at its first base pair
+        delta, first = max(largest, key=lambda pair: (pair[0], -pair[1]))
+        rows.append({"scale": scale, "measure": float(delta * math.log(1.0 / scale)),
+                     "worst_pair": pairs[first].tolist(), "worst_delta": delta})
     measures = [r["measure"] for r in rows]
     passed = all(b <= a * (1.0 + 1e-6) + 1e-12 for a, b in zip(measures, measures[1:]))
     worst = max(rows, key=lambda r: r["measure"])

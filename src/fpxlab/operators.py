@@ -1,12 +1,12 @@
 """Discrete nonlocal energy, its gradient, weak form, and tail integrals.
 
-All pairwise sums share one precomputed :class:`PairKernel`, a list of the
-admissible unordered node pairs: midpoint quadrature with uniform cell
-measures, the diagonal excluded (symmetric exclusion realises the principal
-value on a uniform lattice), pairs beyond the grid's interaction radius
-dropped, and pairs with both nodes exterior dropped (they are constant with
-respect to the interior unknowns).  The pairs come from
-:func:`~fpxlab.exponents.node_pairs`, which lists the region sums too.
+Every kernel sum runs over the admissible unordered node pairs of
+:func:`pair_blocks`, which the solver keeps in a :class:`PairKernel` and the
+level-set estimate streams: midpoint quadrature with uniform cell measures,
+the diagonal excluded (symmetric exclusion realises the principal value on a
+uniform lattice), pairs beyond the grid's interaction radius dropped, and
+pairs with both nodes exterior dropped (they are constant with respect to
+the interior unknowns).
 
 With coefficients
     c_ij = m_i m_j / |x_i - x_j|^(dim + s p_ij),
@@ -28,14 +28,17 @@ from . import exponents
 from .exponents import node_pairs, row_blocks
 from .grid import SPHERE_MEASURE, Grid, GridGeometryError, ball_mask
 
-__all__ = ["PairKernel", "TailReport", "tail", "weighted_residual"]
+__all__ = ["PairKernel", "TailReport", "add_fluxes", "pair_blocks", "tail", "weighted_residual"]
 
 METRIC_FLOOR = 1e-3  # delta of the iterate metric, as a fraction of the range of u
 
 
-def _signed_power(delta: np.ndarray, expo: np.ndarray) -> np.ndarray:
-    """|t|^(e-1) * sign(t), the derivative kernel of |t|^e / e, zero at t=0."""
-    return np.sign(delta) * np.abs(delta) ** (expo - 1.0)
+def add_fluxes(out: np.ndarray, into: np.ndarray, u: np.ndarray, i, j, p, coeff) -> None:
+    """Adds the fluxes 2 c |u_i - u_j|^(p - 2) (u_i - u_j) of a block of pairs to out at i and into at j, in pair order."""
+    delta = u[i] - u[j]
+    flux = 2.0 * coeff * (np.sign(delta) * np.abs(delta) ** (p - 1.0))  # zero where u_i = u_j
+    np.add.at(out, i, flux)
+    np.add.at(into, j, flux)
 
 
 def weighted_residual(grid: Grid, g: np.ndarray) -> float:
@@ -43,55 +46,49 @@ def weighted_residual(grid: Grid, g: np.ndarray) -> float:
     return float(np.max(np.abs(g[grid.interior]))) / 2.0
 
 
+def pair_blocks(grid: Grid, field, s: float, touching=None):
+    """The count pass of :func:`~fpxlab.exponents.node_pairs` and its (i, j, p, coeff) blocks of admissible pairs.
+
+    Node ``i`` is interior, a pair of interior nodes comes once, from its
+    lower index, and coeff = m^2 / |x_i - x_j|^(dim + s p).  ``touching`` (a
+    node mask) keeps the pairs with an endpoint in it, in the same order, so
+    every sum at one of its nodes is the full list's, bit for bit.
+    """
+    def keep(i, j):
+        kept = grid.exterior[j] | (i < j)
+        return kept if touching is None else kept & (touching[i] | touching[j])
+
+    everywhere = np.ones(grid.n_nodes, dtype=bool)
+    count, blocks = node_pairs(grid, grid.interior, everywhere, grid.interaction_radius * (1 + 1e-12), keep)
+
+    def fill(block):
+        i, j, dist = block
+        p = field.eval(grid.nodes[i], grid.nodes[j])
+        return i, j, p, grid.measure**2 * dist ** -(grid.dim + s * p)
+
+    return count, map(fill, blocks)
+
+
 class PairKernel:
     """The admissible unordered pairs of one (grid, field, s) triple.
 
     Pair k joins interior node ``i[k]`` to node ``j[k]``, with exponent
-    ``p[k]`` and coefficient ``coeff[k]``: 32 bytes per pair.  Pairs are
-    listed row by row, ``i`` ascending.  ``region`` (a node mask, default
-    every interior node) keeps only the pairs with an endpoint in it: a
-    subsequence of the full list in the same order, so the sums at every
-    region node, and the pairing with a test function supported there, are
-    those of the full kernel bit for bit.  Off the region they are partial.
+    ``p[k]`` and coefficient ``coeff[k]``: 32 bytes per pair, filled from
+    :func:`pair_blocks`.  Pairs are listed row by row, ``i`` ascending.
     """
 
-    def __init__(self, grid: Grid, field, s: float, region=None):
+    def __init__(self, grid: Grid, field, s: float):
         if not 0.0 < s < 1.0:
             raise ValueError("differentiability order s must lie in (0, 1)")
         self.grid = grid
-        self.field = field
-        self.s = float(s)
-        self.region = region = grid.interior if region is None else np.asarray(region, dtype=bool)
-
-        def keep(i, j):
-            """A pair of interior nodes once, from its lower index, and only with an endpoint in the region."""
-            return (grid.exterior[j] | (i < j)) & (region[i] | region[j])
-
-        everywhere = np.ones(grid.n_nodes, dtype=bool)
-        n, blocks = node_pairs(grid, grid.interior, everywhere, grid.interaction_radius * (1 + 1e-12), keep)
+        count, blocks = pair_blocks(grid, field, float(s))
+        n = count()  # the arrays are allocated once, at their final size
         self.i, self.j = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
         self.p, self.coeff = np.empty(n), np.empty(n)
-        for out, i, j, dist in blocks:
-            self.i[out], self.j[out] = i, j
-            self.p[out] = field.eval(grid.nodes[i], grid.nodes[j])
-            self.coeff[out] = grid.measure**2 * dist ** -(grid.dim + self.s * self.p[out])
-
-    def row_pair_blocks(self, rows: np.ndarray):
-        """Slices of the pair list covering the pairs whose node ``i`` lies in the node mask ``rows``.
-
-        A slice holds the whole rows of consecutive nodes, ``_BLOCK_PAIRS``
-        pairs or one row at most, so it depends only on those rows: every
-        kernel whose region covers them gives the same slices.
-        """
-        nodes = np.flatnonzero(rows & self.grid.interior)
-        lo = np.searchsorted(self.i, nodes, "left").tolist()
-        hi = np.searchsorted(self.i, nodes, "right").tolist()
-        nodes = nodes.tolist()
-        start = 0
-        for k in range(1, len(nodes) + 1):
-            if k == len(nodes) or nodes[k] != nodes[k - 1] + 1 or hi[k] - lo[start] > exponents._BLOCK_PAIRS:
-                yield slice(lo[start], hi[k - 1])
-                start = k
+        stop = 0
+        for i, j, p, coeff in blocks:
+            start, stop = stop, stop + len(i)
+            self.i[start:stop], self.j[start:stop], self.p[start:stop], self.coeff[start:stop] = i, j, p, coeff
 
     # -- energy and its gradient ---------------------------------------
 
@@ -134,24 +131,15 @@ class PairKernel:
         n = self.grid.n_nodes
         out, into = np.zeros(n), np.zeros(n)
         for part in row_blocks(len(self.i)):
-            i, j = self.i[part], self.j[part]
-            flux = 2.0 * self.coeff[part] * _signed_power(u[i] - u[j], self.p[part])
-            np.add.at(out, i, flux)
-            np.add.at(into, j, flux)
+            add_fluxes(out, into, u, self.i[part], self.j[part], self.p[part], self.coeff[part])
         return out - into
 
     def weak_residual(self, u: np.ndarray, phi: np.ndarray):
-        """Bilinear pairing E(u, phi) = gradient(u) . phi for phi vanishing off the region's interior nodes.
-
-        ``phi`` is one test function, giving one value, or a stack of them
-        (rows), giving a list.  Off the region the kernel's gradient is
-        partial, so a test function reaching there is refused.
-        """
+        """Bilinear pairing E(u, phi) = gradient(u) . phi for phi vanishing off the interior nodes."""
         phi = np.asarray(phi, dtype=float)
-        if np.any(np.abs(phi[..., ~(self.region & self.grid.interior)]) > 0):
-            raise ValueError("test function must vanish off the interior nodes of the kernel's region")
-        g = self.gradient(u)
-        return float(g @ phi) if phi.ndim == 1 else [float(g @ row) for row in phi]
+        if np.any(np.abs(phi[~self.grid.interior]) > 0):
+            raise ValueError("test function must vanish off the interior nodes")
+        return float(self.gradient(u) @ phi)
 
     def p2_hessian(self, u: np.ndarray | None = None) -> np.ndarray:
         """The interior matrix sum_k w_k (e_i - e_j)(e_i - e_j)^T: the p = 2 Hessian, or a metric at u.
@@ -164,7 +152,6 @@ class PairKernel:
         columns follow the interior nodes in index order; a pair with a
         collar endpoint adds to the diagonal only.  The pairs and their
         weights are swept in blocks, so every temporary is block-sized.
-        Rows off the kernel's region are partial.
         """
         interior = self.grid.interior
         n = int(np.count_nonzero(interior))

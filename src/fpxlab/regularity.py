@@ -26,7 +26,7 @@ import numpy as np
 
 from .exponents import ExponentField, ProductExtrema, extrema_over_product
 from .grid import Grid, GridGeometryError, ball_mask
-from .operators import PairKernel, _tail_sums, tail
+from .operators import _tail_sums, add_fluxes, pair_blocks, tail
 from .spaces import region_pair_terms
 
 __all__ = [
@@ -104,8 +104,7 @@ class CaccioppoliReport:
 
 
 def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
-                       x0, r: float, R: float, k,
-                       kernel: PairKernel | None = None, extrema: ProductExtrema | None = None):
+                       x0, r: float, R: float, k, extrema: ProductExtrema | None = None):
     """Level-set energy estimate for w_+ = (u - k)_+ on B_r within B_R.
 
     ``k`` is one level, giving one report, or a sequence of levels, giving a
@@ -120,11 +119,12 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     weight (2R/(R-r))^(dim + s p) / |y - x0|^(dim + s p), a superset of the
     admissible far pairs, so the bound direction is preserved.
 
-    Every selected pair has its node ``i`` in B_R, so the sums sweep the
-    kernel's B_R rows in blocks (:meth:`PairKernel.row_pair_blocks`), and
-    any kernel holding the pairs that touch B_R gives the same reports; the
-    default builds only those.  ``extrema`` are the exponent extrema over
-    B_R x B_R, computed when not given.
+    The sums stream the admissible pairs that touch B_R from
+    :func:`~fpxlab.operators.pair_blocks`, block by block, and keep no pair
+    table: every summed pair has its node ``i`` in B_R.  The weak-form
+    gradient adds each block's fluxes to their nodes in pair order, so at
+    every node of B_R it is the kernel's gradient bit for bit.  ``extrema``
+    are the exponent extrema over B_R x B_R, computed when not given.
 
     ``c_explicit`` is assembled from the proof chain: the algebraic-
     inequality constant against the cutoff slope bound (Lipschitz constant
@@ -139,9 +139,6 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
         raise GridGeometryError("need 0 < r < R")
     inner = ball_mask(grid, x0, r)
     outer = ball_mask(grid, x0, R)
-    kernel = PairKernel(grid, field, s, outer) if kernel is None else kernel
-    if not np.all(kernel.region[outer & grid.interior]):
-        raise ValueError("the kernel must hold every pair that touches B_R")
 
     ext = extrema_over_product(field, grid.nodes[outer], grid.nodes[outer]) if extrema is None else extrema
     p_minus, p_plus = ext.p_minus, ext.p_plus
@@ -171,11 +168,15 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     selections = ((0, modular, inner, inner, False), (1, cross, inner, outer, False),
                   (1, cross, inner, outer, True), (2, flat, outer, outer, False))
     sums = np.zeros((3, len(levels)))  # per level: modular, cross and flat (local) pair sums
-    for part in kernel.row_pair_blocks(outer):
+    out, into = np.zeros(grid.n_nodes), np.zeros(grid.n_nodes)  # the weak form's gradient, as the kernel's
+    _, blocks = pair_blocks(grid, field, s, touching=outer)
+    for i, j, p, coeff in blocks:
+        add_fluxes(out, into, u, i, j, p, coeff)
         for row, terms, first, second, swap in selections:
-            a, b = (kernel.j[part], kernel.i[part]) if swap else (kernel.i[part], kernel.j[part])
+            a, b = (j, i) if swap else (i, j)
             sel = first[a] & second[b]
-            sums[row] += terms(a[sel], b[sel], kernel.p[part][sel], kernel.coeff[part][sel])
+            sums[row] += terms(a[sel], b[sel], p[sel], coeff[sel])
+        del i, j, p, coeff, a, b  # the block is freed before the next one is made
 
     # far factor: the tail of w_+ beyond B_R, sup over B_((R+r)/2)
     _, far_sums = _tail_sums(grid, field, s, x0, R, (R + r) / 2.0, w_plus, reach=2.0 * R / (R - r))
@@ -183,7 +184,8 @@ def caccioppoli_report(u: np.ndarray, field: ExponentField, s: float, grid: Grid
     dist0 = np.sqrt(np.sum((grid.nodes - x0) ** 2, axis=1))
     cutoff = np.clip(((R + r) / 2.0 - dist0) / ((R - r) / 2.0), 0.0, 1.0) ** p_plus
     cutoff[~grid.interior] = 0.0
-    weak_values = kernel.weak_residual(u, w_plus * cutoff)
+    gradient = out - into
+    weak_values = [float(gradient @ phi) for phi in w_plus * cutoff]
 
     reports = []
     for n, level in enumerate(levels):

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exponents import ExponentField, node_pairs, pairwise_sum
+from .exponents import ExponentField, node_pairs
 from .grid import Grid
 
 __all__ = [
@@ -79,7 +79,7 @@ def lebesgue_modular(u: np.ndarray, pbar: np.ndarray, grid: Grid, region=None) -
 
 
 def region_pair_terms(u: np.ndarray, expo, order: float, grid: Grid, region_a=None, region_b=None):
-    """Terms m^2 |u_i - u_j|^e / |x_i - x_j|^(dim + order e) of a double region sum.
+    """Terms m^2 |u_i - u_j|^e / |x_i - x_j|^(dim + order e) of a double region sum, summed per exponent.
 
     ``expo`` is an :class:`ExponentField`, giving e = p(x_i, x_j), or a
     constant exponent.  The pairs are those of
@@ -87,24 +87,27 @@ def region_pair_terms(u: np.ndarray, expo, order: float, grid: Grid, region_a=No
     region_b and no radius: every pair of distinct region nodes, however far
     apart.  With one region (``region_b`` omitted) each unordered pair is
     listed once, i < j, with its term doubled, since both the term and the
-    field are symmetric.  Returns the terms and their exponents; the double
-    sum is the sum of the terms.
+    field are symmetric.  Returns the sum T_e of the terms of each distinct
+    exponent e, added in pair order whatever the block size, and the
+    exponents e, ascending: the double sum of u / lam is sum_e T_e lam^(-e).
     """
     mask_a = _region_mask(grid, region_a)
     mask_b = mask_a if region_b is None else _region_mask(grid, region_b)
-    field = expo if isinstance(expo, ExponentField) else None
     weight = 2.0 if region_b is None else 1.0
     keep = (lambda i, j: i < j) if region_b is None else None  # one region: each unordered pair once
-    n, blocks = node_pairs(grid, mask_a, mask_b, math.inf, keep)
-    terms = np.empty(n)
-    expo = expo if field is None else np.empty(n)
-    for out, i, j, dist in blocks:
-        if field is not None:
-            expo[out] = field.eval(grid.nodes[i], grid.nodes[j])
-        e = expo if field is None else expo[out]
+    _, blocks = node_pairs(grid, mask_a, mask_b, math.inf, keep)
+    sums, expos = np.empty(0), np.empty(0)
+    for i, j, dist in blocks:
+        e = expo.eval(grid.nodes[i], grid.nodes[j]) if isinstance(expo, ExponentField) else np.full(len(i), float(expo))
         du = np.abs(u[i] - u[j])
-        terms[out] = weight * grid.measure**2 * du**e * dist ** -(grid.dim + order * e)
-    return terms, expo
+        terms = weight * grid.measure**2 * du**e * dist ** -(grid.dim + order * e)
+        merged = np.sort(np.concatenate([expos, e]))
+        merged = merged[np.diff(merged, prepend=-np.inf) > 0]
+        grown = np.zeros(len(merged))
+        grown[np.searchsorted(merged, expos)] = sums
+        np.add.at(grown, np.searchsorted(merged, e), terms)
+        sums, expos = grown, merged
+    return sums, expos
 
 
 def gagliardo_modular(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
@@ -216,17 +219,8 @@ def lebesgue_norm(u, pbar, grid, region=None, tol: float = 1e-10) -> NormResult:
     return luxemburg_norm(lambda lam: lebesgue_modular(u / lam, pbar, grid, region).value, tol)
 
 
-def _scaled_sum(terms: np.ndarray, expo: np.ndarray, lam: float) -> float:
-    """sum_k t_k lam^(-e_k); exp of a product costs less than a power, and at lam = 1 the sum is exactly sum_k t_k.
-
-    The products are formed and summed piece by piece; the sum equals
-    ``np.sum`` of the whole product bit for bit.
-    """
-    scale = -math.log(lam)
-    return pairwise_sum(lambda a, b: terms[a:b] * np.exp(expo[a:b] * scale), 0, len(terms))
-
-
 def sobolev_seminorm(u, field, s, grid, region=None, tol: float = 1e-10) -> NormResult:
-    # the Gagliardo modular of u / lam is sum_ij t_ij lam^(-p_ij)
+    # the Gagliardo modular of u / lam is sum_p T_p lam^(-p), one term per distinct exponent; exp of
+    # a product costs less than a power, and at lam = 1 the modular is exactly sum_p T_p
     terms, p = region_pair_terms(u, field, s, grid, region)
-    return luxemburg_norm(lambda lam: _scaled_sum(terms, p, lam), tol)
+    return luxemburg_norm(lambda lam: float(np.sum(terms * np.exp(p * -math.log(lam)))), tol)

@@ -41,7 +41,6 @@ def random_instances():
         cfg = SolveConfig(s=0.5, sigma=0.25, q=1.5, nodes_per_axis=n,
                           field_kind="constant", field_params={"value": 2.0},
                           exterior="random:1.0", grad_tol=1e-9)
-        kernel = PairKernel(grid, field, cfg.s)
         rows = []
         for seed in range(20):
             g = exterior_data("random:1.0", grid, seed)
@@ -54,7 +53,7 @@ def random_instances():
                 residual = err.result.final_residual
             assert residual <= 1e-8
             rows.append((seed, g, u))
-        out[n] = (grid, field, cfg, kernel, rows)
+        out[n] = (grid, field, cfg, rows)
     return out
 
 
@@ -106,7 +105,7 @@ def test_criterion_03_exact_linear_solution():
 
 def test_criterion_04_discrete_maximum_principle(random_instances):
     started = time.perf_counter()
-    grid, _, _, _, rows = random_instances[201]
+    grid, _, _, rows = random_instances[201]
     for seed, g, u in rows:
         rep = comparison_check(u, grid, g, tol=1e-8)
         assert rep.passed, f"seed {seed}: excess {rep.excess:.2e} at {rep.worst_node}"
@@ -173,14 +172,13 @@ def test_criterion_08_caccioppoli_estimates(random_instances):
     started = time.perf_counter()
     constants = {}
     for n in (201, 401):
-        grid, field, cfg, kernel, rows = random_instances[n]
+        grid, field, cfg, rows = random_instances[n]
         per_instance = []
         for seed, _, u in rows:
             values = []
             for quart in (0.25, 0.5, 0.75):
                 level = float(np.quantile(u[grid.interior], quart))
-                rep = caccioppoli_report(u, field, cfg.s, grid, 0.0, 0.25, 0.5,
-                                         level, kernel=kernel)
+                rep = caccioppoli_report(u, field, cfg.s, grid, 0.0, 0.25, 0.5, level)
                 assert rep.satisfied, f"seed {seed} level {level:.3f} on mesh {n}"
                 assert rep.c_empirical <= rep.c_explicit
                 values.append(rep.c_empirical)

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpxlab.cli import main
+from fpxlab.cli import _quantile, main
 from fpxlab.config import _SECTIONS, ConfigError, DiagnosticsSpec, parse_text
 from fpxlab.grid import build_grid, read_grid_function, write_grid_function
 from fpxlab.spaces import gagliardo_modular, lebesgue_modular
@@ -321,6 +323,36 @@ def test_tabulated_table_is_read_next_to_the_config(tmp_path, monkeypatch):
     assert main(["check-exponent", *args]) == 0
     assert sorted(path.name for path in (elsewhere / "out").iterdir()) == [
         "diagnostics.json", "energy_history.csv", "exponent.json", "norms.json", "solution.csv", "solve.json"]
+
+
+def test_tabulated_cell_that_is_not_a_number_is_a_config_problem(tmp_path, capsys):
+    # numpy 2 writes a float64 as np.float64(...); the table names the cell, and nothing runs
+    write_exponent_table(tmp_path / "field.csv", build_grid(1, 0.0, 1.0, 2.0, 41))
+    lines = (tmp_path / "field.csv").read_text().splitlines()
+    x, y, p = lines[5].split(",")
+    lines[5] = f"{x},{y},np.float64({p})"
+    (tmp_path / "field.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "run.cfg").write_text("[grid]\nr_trunc = 2\nnodes_per_axis = 41\n\n"
+                                      "[field]\npreset = tabulated\ntable = field.csv\n")
+    assert main(["check-exponent", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err) == {"code": "config", "problems": [{
+        "field": "field.table",
+        "message": f"tabulated field CSV line 6, column p: 'np.float64({p})' is not a number"}]}
+    assert not (tmp_path / "out").exists()
+
+
+# values with ties, and one sign of zero: np.sort and np.quantile's partition may order -0.0 and 0.0 apart
+_SAMPLES = st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6, allow_nan=False)),
+                    min_size=1, max_size=40).map(lambda values: np.array(values) + 0.0)
+
+
+@given(_SAMPLES, st.floats(-1e6, 1e6, allow_nan=False))
+@settings(max_examples=200, deadline=None)
+def test_quartiles_match_numpy_bit_for_bit(values, shift):
+    ordered = np.sort(values)
+    ours = [_quantile(ordered, q) for q in (0.25, 0.5, 0.75)] + [_quantile(ordered - shift, 0.5)]
+    numpy = [np.quantile(values, q) for q in (0.25, 0.5, 0.75)] + [np.quantile(values - shift, 0.5)]
+    assert np.array(ours).tobytes() == np.array(numpy, dtype=float).tobytes()
 
 
 def test_config_error_json(tmp_path, capsys):

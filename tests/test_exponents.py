@@ -325,10 +325,19 @@ def test_log_holder_direction_set(dim):
     spy = _SpyField(radial_field())
     scales = (1e-2, 1e-3)
     check_log_holder(spy, grid, scales=scales, cap=20)
-    found = set()
-    for scale, (base, moved) in zip(sorted(scales, reverse=True), zip(spy.calls[::2], spy.calls[1::2])):
-        steps = (moved - base) / scale
-        found |= {tuple(row) for row in np.round(steps, 6)}
+    # p is evaluated at the base pairs once, then once per scale and direction at the moved pairs
+    base, moved = spy.calls[0], spy.calls[1:]
+    assert len(moved) == len(scales) * len(expected)
+    found, lengths = set(), set()
+    for pairs in moved:
+        # a sample of a call's moved pairs, each one scale from its base pair along the call's direction
+        pairs = pairs[::16]
+        gaps = pairs[:, None, :] - base[None, :, :]
+        step = gaps[np.arange(len(pairs)), np.argmin(np.sum(gaps**2, axis=-1), axis=1)]
+        length = np.linalg.norm(step, axis=1)
+        lengths |= set(np.round(length, 9))
+        found |= {tuple(row) for row in np.round(step / length[:, None], 6)}
+    assert lengths == set(scales)
     assert found == {tuple(np.round(row, 6)) for row in np.array(expected, dtype=float)}
 
 

@@ -295,20 +295,23 @@ def test_pair_list_matches_dense_oracle(dense, case):
     flat = np.where(admissible, dist, 1.0) ** ((1.0 - s) * pmat - grid.dim)
     wr = (w_plus / (R - r))[:, None] ** pmat
     rhs_local = grid.measure**2 * np.sum(np.where(admissible & np.outer(outer, outer), wr * flat, 0.0))
-    rep = caccioppoli_report(u, field, s, grid, x0, r, R, k, kernel=kern)
+    rep = caccioppoli_report(u, field, s, grid, x0, r, R, k)
     assert rep.lhs_modular == pytest.approx(lhs_modular, rel=1e-12)
     assert rep.lhs_cross == pytest.approx(lhs_cross, rel=1e-12)
     assert rep.rhs_local == pytest.approx(rhs_local, rel=1e-12)
 
-    # region double sums are untruncated: the dense sums over ordered pairs of distinct region nodes
+    # region double sums are untruncated: the dense sums over ordered pairs of distinct region nodes,
+    # summed per distinct exponent
     for region_a, region_b in ((grid.interior, None), (outer, None), (outer, grid.interior)):
         pairs = np.outer(region_a, region_a if region_b is None else region_b) & ~np.eye(grid.n_nodes, dtype=bool)
         for expo, order in ((field, s), (1.5, 0.25)):
-            e = pmat if expo is field else expo
-            dense_terms = grid.measure**2 * np.abs(d) ** e * np.where(pairs, dist, 1.0) ** -(grid.dim + order * e)
-            terms, _ = region_pair_terms(u, expo, order, grid, region_a, region_b)
-            assert len(terms) == np.count_nonzero(pairs) // (2 if region_b is None else 1)
-            assert np.sum(terms) == pytest.approx(np.sum(dense_terms[pairs]), rel=1e-12)
+            e = np.broadcast_to(pmat if expo is field else expo, pairs.shape)[pairs]
+            dense_terms = (grid.measure**2 * np.abs(d[pairs]) ** e * dist[pairs] ** -(grid.dim + order * e))
+            terms, expos = region_pair_terms(u, expo, order, grid, region_a, region_b)
+            assert np.array_equal(expos, np.unique(e))
+            dense_sums = [np.sum(dense_terms[e == value]) for value in expos]
+            assert terms == pytest.approx(dense_sums, rel=1e-12)
+            assert np.sum(terms) == pytest.approx(np.sum(dense_terms), rel=1e-12)
 
 
 # -- tail ---------------------------------------------------------------------

@@ -160,7 +160,7 @@ def test_caccioppoli_weak_form_uses_proof_test_function(radial_solution):
     cfg, grid, field, result = radial_solution
     r, R, k = 0.25, 0.5, 0.0
     kernel = PairKernel(grid, field, cfg.s)
-    rep = caccioppoli_report(result.u, field, cfg.s, grid, 0.0, r, R, k, kernel=kernel)
+    rep = caccioppoli_report(result.u, field, cfg.s, grid, 0.0, r, R, k)
     eta = np.clip(((R + r) / 2.0 - np.abs(grid.nodes[:, 0])) / ((R - r) / 2.0), 0.0, 1.0)
     phi = np.where(grid.interior, np.maximum(result.u - k, 0.0) * eta**rep.p_plus, 0.0)
     assert rep.weak_form_value == kernel.weak_residual(result.u, phi)

@@ -230,6 +230,30 @@ def test_seminorm_unit_value_has_unit_modular(unit_grid, unit_region, rng):
     assert mod.value == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("field", [constant_field(2.5), radial_field(), product_field()],
+                         ids=["constant", "radial", "product"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grouped_terms_match_per_pair_sum(field, dim, rng, monkeypatch):
+    # sum_k t_k lam^(-e_k) over every ordered pair of distinct region nodes, term by term,
+    # against the modular the seminorm's root finder reads, one term per distinct exponent
+    grid = build_grid(dim, (0.0,) * dim, (1.0,) * dim, 2.0, 41 if dim == 1 else 17)
+    u = rng.normal(size=grid.n_nodes)
+    nodes = grid.nodes[grid.interior]
+    diff = nodes[:, None, :] - nodes[None, :, :]
+    pairs = ~np.eye(len(nodes), dtype=bool)
+    dist = np.sqrt(np.sum(diff**2, axis=-1))[pairs]
+    e = np.broadcast_to(field.eval(nodes[:, None, :], nodes[None, :, :]), pairs.shape)[pairs]
+    du = np.abs(np.subtract.outer(u[grid.interior], u[grid.interior]))[pairs]
+    t = grid.measure**2 * du**e * dist ** -(grid.dim + 0.5 * e)
+    terms, expos = region_pair_terms(u, field, 0.5, grid)
+    assert np.array_equal(expos, np.unique(e))
+    assert len(expos) < len(t) // 2 or field.kind == "product"
+    monkeypatch.setattr(spaces, "luxemburg_norm", lambda modular, tol: modular)
+    modular = sobolev_seminorm(u, field, 0.5, grid)
+    for lam in (0.5, 1.0, 2.0):
+        assert modular(lam) == pytest.approx(np.sum(t * lam**-e), rel=1e-12)
+
+
 def test_gagliardo_sandwich(unit_grid, unit_region, rng):
     # unit-ball sandwich for the seminorm against its modular
     f = radial_field()

@@ -17,10 +17,18 @@ print(json.dumps({"threads": os.environ.get("OPENBLAS_NUM_THREADS"), "tasks": ta
 """
 
 
-def _run(code: str, **env) -> str:
+# Runs one command and reports its exit status and whether numpy.ma was imported.
+COMMAND_PROBE = """\
+import sys
+from fpxlab.cli import main
+print(main(sys.argv[1:]), "numpy.ma" in sys.modules)
+"""
+
+
+def _run(code: str, *args: str, **env) -> str:
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env={**base, "PYTHONPATH": path, **env},
+    done = subprocess.run([sys.executable, "-c", code, *args], env={**base, "PYTHONPATH": path, **env},
                           capture_output=True, text=True, check=True)
     return done.stdout.splitlines()[-1]
 
@@ -38,3 +46,12 @@ def test_cli_starts_one_blas_thread():
 
 def test_cli_keeps_the_thread_count_set():
     assert json.loads(_run(CLI_PROBE, OPENBLAS_NUM_THREADS="2"))["threads"] == "2"
+
+
+def test_diagnose_does_not_import_numpy_ma(tmp_path):
+    # np.quantile imports numpy.ma, which costs every diagnose about 1 MB and 10 ms
+    config = tmp_path / "run.cfg"
+    config.write_text("[grid]\nnodes_per_axis = 201\n\n[field]\npreset = radial\n\n[problem]\nexterior = sine:1\n")
+    args = ["--config", str(config), "--out", str(tmp_path)]
+    assert _run(COMMAND_PROBE, "solve", *args) == "0 False"
+    assert _run(COMMAND_PROBE, "diagnose", *args, "--input", str(tmp_path / "solution.csv")) == "0 False"

@@ -43,10 +43,8 @@ def test_2d_max_principle(plane_grid, plane_solution):
 
 def test_2d_caccioppoli(plane_grid, plane_solution):
     cfg, field, _, result = plane_solution
-    kernel = PairKernel(plane_grid, field, cfg.s)
     level = float(np.quantile(result.u[plane_grid.interior], 0.5))
-    rep = caccioppoli_report(result.u, field, cfg.s, plane_grid, (0.0, 0.0),
-                             0.25, 0.5, level, kernel=kernel)
+    rep = caccioppoli_report(result.u, field, cfg.s, plane_grid, (0.0, 0.0), 0.25, 0.5, level)
     assert rep.satisfied
     assert rep.c_empirical <= rep.c_explicit
 
