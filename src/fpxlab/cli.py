@@ -37,7 +37,7 @@ from .exponents import (  # noqa: E402
 from .grid import ball_mask, read_grid_function, write_grid_function  # noqa: E402
 from .operators import tail  # noqa: E402
 from .solve import NonConvergenceError, comparison_check, exterior_data, minimize  # noqa: E402
-from .spaces import lebesgue_norm, sobolev_seminorm  # noqa: E402
+from .spaces import lebesgue_modular, lebesgue_norm, sobolev_seminorm  # noqa: E402
 
 __all__ = ["main"]
 
@@ -130,11 +130,11 @@ def _cmd_norms(args) -> int:
     u = read_grid_function(args.input, grid)
     region = grid.interior
     pbar = np.asarray(field.diagonal(grid.nodes))
-    # each norm reports its modular at unit scaling, so the pair terms are built once
     norm = lebesgue_norm(u, pbar, grid, region)
+    # the seminorm reports its modular at unit scaling, so the pair terms are built once
     semi = sobolev_seminorm(u, field, config.solve.s, grid, region)
     _dump_json(out / "norms.json", {
-        "modular": norm.modular,
+        "modular": lebesgue_modular(u, pbar, grid, region).value,
         "norm": norm.value,
         "bracket": list(norm.bracket),
         "iterations": norm.iterations,

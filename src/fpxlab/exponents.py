@@ -344,13 +344,13 @@ class ProductExtrema:
     p_plus: float
 
 
-def extrema_over_product(field: ExponentField, pts_a, pts_b, cap: int = 2000) -> ProductExtrema:
+def extrema_over_product(field: ExponentField, pts_a, pts_b) -> ProductExtrema:
     """Exponent extrema over the product of two point sets.
 
-    Suprema/infima are taken over sampled pairs; sets sharing points include
+    Suprema/infima are taken over every pair; sets sharing points include
     zero-separation pairs, so diagonal-limit values are attained exactly.
-    Sets larger than ``cap`` are thinned deterministically.  The field's
-    shape decides where the extrema lie, and each is p at one pair:
+    The field's shape decides where the extrema lie, and each is p at one
+    pair:
 
     * ``constant``: its value.
     * ``radial``: omega is non-increasing in |x - y|, so p_+ is omega at the
@@ -369,8 +369,6 @@ def extrema_over_product(field: ExponentField, pts_a, pts_b, cap: int = 2000) ->
     b = np.atleast_2d(_as_points(pts_b))
     if a.size == 0 or b.size == 0:
         raise ValueError("extrema_over_product requires nonempty point sets")
-    a = _thin(a, cap)
-    b = _thin(b, cap)
     if field.kind == "constant":
         value = float(field.params["value"])
         return ProductExtrema(p_minus=value, p_plus=value)

@@ -10,15 +10,16 @@ sum_i m_i delta_{x_i}, so the modular/norm relations (the unit-ball
 trichotomy and the p_-/p_+ sandwiches) hold for them verbatim and are
 asserted by the tests rather than re-derived.
 
-Luxemburg norms are roots of the decreasing map lambda -> modular(u / lambda)
-minus 1, found by a bracketing root finder in log-log coordinates.
+Both modulars of u / lambda are sums sum_k c_k lambda^(-p_k): one term per
+region node, or one per distinct pair exponent.  Luxemburg norms are the
+roots of rho(u / lambda) = 1, found by Newton's method on log rho against
+log lambda, a convex and decreasing log-sum-exp.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 class ModularDivergenceError(RuntimeError):
-    """The modular stayed above 1 for every sampled scaling."""
+    """The modular is not finite at unit scaling, or its root escapes float64."""
 
 
 @dataclass
@@ -52,9 +53,10 @@ class ModularResult:
 
 @dataclass
 class NormResult:
-    """A Luxemburg norm: ``value`` is the bracket's upper end, ``iterations``
-    counts the modular evaluations after the unit scaling, and ``modular``
-    is rho(u), the modular at unit scaling."""
+    """A Luxemburg norm: ``value`` is the upper end of ``bracket``, which
+    holds the root, ``iterations`` counts the modular evaluations after the
+    unit scaling (the Newton steps and the two bracket ends), and
+    ``modular`` is rho(u), the sum of the terms."""
 
     value: float
     bracket: tuple
@@ -117,110 +119,59 @@ def gagliardo_modular(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
     return ModularResult(float(np.sum(terms)))
 
 
-class _Scaling(NamedTuple):
-    """One evaluation of a Luxemburg root finder: rho = modular(lam), t = log lam, f = log rho."""
-
-    t: float
-    lam: float
-    rho: float
-    f: float
+_MAX_EVALUATIONS = 100  # modular evaluations of a Luxemburg root search after the unit scaling
 
 
-_MAX_EVALUATIONS = 200  # modular evaluations of a Luxemburg root search after the unit scaling
+def luxemburg_norm(terms, exponents, tol: float = 1e-10) -> NormResult:
+    """Smallest lambda with rho(lambda) = sum_k c_k lambda^(-p_k) <= 1, given the c_k >= 0 and the p_k.
 
-
-def luxemburg_norm(modular: Callable[[float], float], tol: float = 1e-10) -> NormResult:
-    """Smallest lambda with modular(lambda) <= 1 for a decreasing modular map.
-
-    ``modular`` evaluates rho(u / lambda).  The result is the bracket end
-    ``hi`` of a bracket (lo, hi) with rho(lo) > 1 >= rho(hi), hi - lo <=
-    tol max(1, hi) and |rho(hi) - 1| <= tol.  The root is found in t = log
-    lambda, where f(t) = log rho(e^t) is a log-sum-exp of affine functions of
-    t for the modulars of this module (sums of c_k lambda^(-p_k)): convex,
-    decreasing, and linear for a constant exponent.  Secant steps bracket
-    the root from t = 0 and Brent's method (inverse quadratic
-    interpolation, secant and bisection steps) closes the bracket, so a
-    norm takes a handful of evaluations where bisection takes dozens.
-    At most ``_MAX_EVALUATIONS`` evaluations follow the first.
+    The result is the bracket end ``hi`` of a bracket (lo, hi) with rho(lo)
+    > 1 >= rho(hi), hi - lo <= tol max(1, hi) and |rho(hi) - 1| <= tol.
+    Newton's method solves f(t) = log rho(e^t) = 0 in t = log lambda.  f is
+    a log-sum-exp of affine functions: convex, decreasing, with slope
+    between -p_+ and -p_-.  So after the first step the iterates stay left
+    of the root and converge quadratically, and a single exponent p gives
+    the closed form rho(1)^(1/p) in one step.  Once a step is below
+    tol / (16 p_+), rho is evaluated at t -/+ tol / (4 p_+), which brackets
+    the root with |log rho| <= tol / 2 at either end.  A tol too small for
+    float64 to bracket raises after ``_MAX_EVALUATIONS`` evaluations.
     """
-    base = modular(1.0)
+    terms, exponents = np.asarray(terms, dtype=float), np.asarray(exponents, dtype=float)
+    base = float(np.sum(terms))
     if base == 0.0:
         return NormResult(0.0, (0.0, 0.0), 0, 0.0)
-    if not np.isfinite(base):
+    if not math.isfinite(base):
         raise ModularDivergenceError("modular not finite at unit scaling")
+    live = terms > 0.0  # zero terms stay out of the logarithms
+    c, p = terms[live], exponents[live]
+    log_c = np.log(c)
 
-    evaluations = 0
+    def rho(lam: float) -> float:  # summed as the modular at unit scaling is
+        return float(np.sum(c * np.exp(p * -math.log(lam))))
 
-    def scaling(t: float) -> _Scaling:
-        nonlocal evaluations
+    half = tol / (4.0 * max(1.0, float(np.max(p))))
+    t, evaluations = 0.0, -1  # the first evaluation is the unit scaling
+    while evaluations < _MAX_EVALUATIONS:
         evaluations += 1
-        lam = math.exp(t) if t < 709.0 else math.inf
-        rho = modular(lam)
-        if np.isnan(rho) or (lam > 1.0 and rho == np.inf):
-            raise ModularDivergenceError("modular diverges for every scaling")
-        return _Scaling(t, lam, rho, math.log(rho) if rho > 0 else -np.inf)
-
-    # bracketing: the first step solves f(0) - 2 t = 0, exact for exponent 2;
-    # later steps take twice the secant step and never shrink
-    pre = _Scaling(0.0, 1.0, base, math.log(base))
-    step = pre.f / 2.0 if pre.f != 0.0 else -tol
-    while True:
-        cur = scaling(pre.t + step)
-        if (cur.f > 0.0) != (pre.f > 0.0):
-            break
-        if evaluations >= _MAX_EVALUATIONS:
-            if cur.f > 0.0:
-                raise ModularDivergenceError("modular stayed above 1 during bracketing")
-            return NormResult(float(cur.lam), (0.0, float(cur.lam)), evaluations, float(base))
-        slope = (cur.f - pre.f) / (cur.t - pre.t)
-        newton = -cur.f / slope if slope < 0.0 and np.isfinite(slope) else 0.0
-        step = math.copysign(max(2.0 * abs(newton), abs(step)), step)
-        pre = cur
-
-    # Brent's method; blk is the bracket end across the root from cur, the best point
-    blk = pre
-    spre = scur = cur.t - pre.t
-    while True:
-        if abs(blk.f) < abs(cur.f):
-            pre, cur, blk = cur, blk, cur
-        lo, hi = (cur, blk) if cur.f > 0.0 else (blk, cur)
-        if (hi.lam - lo.lam <= tol * max(1.0, hi.lam) and abs(hi.rho - 1.0) <= tol) \
-                or evaluations >= _MAX_EVALUATIONS:
-            return NormResult(float(hi.lam), (float(lo.lam), float(hi.lam)), evaluations, float(base))
-        # a bracket of width 2 delta in t meets both conditions, since by
-        # convexity 1 - rho(hi) <= |f(hi)| <= |chord slope| (t_hi - t_lo)
-        chord = abs((blk.f - cur.f) / (blk.t - cur.t))
-        delta = max(0.25 * tol / max(1.0, chord if np.isfinite(chord) else 1.0),
-                    4.0 * np.finfo(float).eps * abs(cur.t))
-        sbis = (blk.t - cur.t) / 2.0
-        step = sbis
-        if abs(spre) > delta and abs(cur.f) < abs(pre.f) and np.isfinite(pre.f) and np.isfinite(blk.f):
-            if pre.t == blk.t:  # secant
-                trial = -cur.f * (cur.t - pre.t) / (cur.f - pre.f)
-            else:  # inverse quadratic interpolation
-                dpre = (pre.f - cur.f) / (pre.t - cur.t)
-                dblk = (blk.f - cur.f) / (blk.t - cur.t)
-                trial = -cur.f * (blk.f * dblk - pre.f * dpre) / (dblk * dpre * (blk.f - pre.f))
-            if 2.0 * abs(trial) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, step = scur, trial
-            else:
-                spre = sbis
-        else:
-            spre = sbis
-        scur = step
-        pre = cur
-        cur = scaling(cur.t + (step if abs(step) > delta else math.copysign(delta, sbis)))
-        if (cur.f > 0.0) != (pre.f > 0.0):
-            blk = pre
-            spre = scur = cur.t - pre.t
+        w = log_c - p * t  # f(t) = log sum exp(w)
+        top = float(np.max(w))
+        scaled = np.exp(w - top)
+        total = float(np.sum(scaled))
+        step = (top + math.log(total)) * total / float(np.sum(p * scaled))  # -f / f'
+        t += step
+        if abs(step) < half / 4.0:
+            lo, hi = math.exp(t - half), math.exp(t + half)
+            evaluations += 2
+            if rho(lo) > 1.0 >= rho(hi):
+                return NormResult(hi, (lo, hi), evaluations, base)
+    raise ModularDivergenceError(f"no Luxemburg bracket of width {tol} within {_MAX_EVALUATIONS} evaluations")
 
 
 def lebesgue_norm(u, pbar, grid, region=None, tol: float = 1e-10) -> NormResult:
-    return luxemburg_norm(lambda lam: lebesgue_modular(u / lam, pbar, grid, region).value, tol)
+    mask = _region_mask(grid, region)
+    p = np.asarray(pbar)[mask]
+    return luxemburg_norm(grid.measure * np.abs(u[mask]) ** p, p, tol)
 
 
 def sobolev_seminorm(u, field, s, grid, region=None, tol: float = 1e-10) -> NormResult:
-    # the Gagliardo modular of u / lam is sum_p T_p lam^(-p), one term per distinct exponent; exp of
-    # a product costs less than a power, and at lam = 1 the modular is exactly sum_p T_p
-    terms, p = region_pair_terms(u, field, s, grid, region)
-    return luxemburg_norm(lambda lam: float(np.sum(terms * np.exp(p * -math.log(lam)))), tol)
+    return luxemburg_norm(*region_pair_terms(u, field, s, grid, region), tol)

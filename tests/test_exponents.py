@@ -147,31 +147,40 @@ def _point_sets(shape, dim, sizes, same, rng):
     shape=st.sampled_from(["uniform", "lattice", "junction", "tiny"]),
     sizes=st.tuples(st.integers(1, 300), st.integers(1, 300)),
     same=st.booleans(),
-    cap=st.sampled_from([3, 11, 2000]),
     block=st.sampled_from([1, 5, 64, 1 << 16]),
     seed=st.integers(0, 2**31 - 1),
 )
 @settings(max_examples=120, deadline=None)
-def test_extrema_match_dense_product(dim, field, shape, sizes, same, cap, block, seed):
+def test_extrema_match_dense_product(dim, field, shape, sizes, same, block, seed):
     """The shape rules and the blocked sweep find the dense product's extrema bit for bit.
 
     The rules hold only if ``radial_profile`` and ``slow_modulus`` are
     monotone in float64, so the sets reach the lattices of the exponent
     checks, a few hundred points, both sides of the radial junction and
     separations below 1e-3.  ``block`` shrinks the pairs per block so that
-    small sets are swept in several blocks; ``cap`` below the set sizes
-    exercises the thinning.
+    small sets are swept in several blocks.
     """
     if field.kind == "tabulated":
         dim = 1
     a, b = _point_sets(shape, dim, sizes, same, np.random.default_rng(seed))
     with mock.patch.object(exponents, "_BLOCK_PAIRS", block):
-        ext = extrema_over_product(field, a, b, cap=cap)
+        ext = extrema_over_product(field, a, b)
+    dense = np.asarray(field.eval(a[:, None, :], b[None, :, :]))
+    assert ext.p_minus == dense.min()
+    assert ext.p_plus == dense.max()
 
-    def thin(pts):
-        return pts[:: math.ceil(len(pts) / cap)] if len(pts) > cap else pts
 
-    dense = np.asarray(field.eval(thin(a)[:, None, :], thin(b)[None, :, :]))
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=["constant", "radial", "product"])
+def test_extrema_over_exterior_nodes_match_dense_product(field):
+    """A ball lattice against the 2-D grid nodes outside the ball, as the
+    exterior comparison passes them: more than 2,000 points, every one used."""
+    grid = build_grid(2, (0.0, 0.0), (1.0, 1.0), 2.0, 49)
+    center, radius = np.array([-0.3, 0.05]), 0.3
+    inside = exponents._ball_lattice(center, radius, grid.h)
+    outside = grid.nodes[np.linalg.norm(grid.nodes - center, axis=1) > radius + 1e-12]
+    assert len(outside) > 2000
+    ext = extrema_over_product(field, inside, outside)
+    dense = np.asarray(field.eval(inside[:, None, :], outside[None, :, :]))
     assert ext.p_minus == dense.min()
     assert ext.p_plus == dense.max()
 

@@ -108,7 +108,20 @@ def test_luxemburg_variable_exponent_oracle(unit_grid, unit_region):
 
 def test_luxemburg_divergence():
     with pytest.raises(ModularDivergenceError):
-        luxemburg_norm(lambda lam: math.inf)
+        luxemburg_norm(np.array([math.inf]), np.array([2.0]))
+    with pytest.raises(ModularDivergenceError):  # a bracket narrower than float64 resolves
+        luxemburg_norm(np.array([3.0]), np.array([2.0]), tol=1e-20)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_luxemburg_one_term_is_stable_to_the_last_bit(p):
+    """A one-ulp change of a one-term modular T moves its norm T^(1/p) by float64 noise only,
+    whichever way rho rounds at the root."""
+    for total in np.logspace(-6, 6, 400):
+        norm = luxemburg_norm(np.array([total]), np.array([p])).value
+        assert norm == pytest.approx(total ** (1.0 / p), rel=1e-10)
+        for moved in (np.nextafter(total, 0.0), np.nextafter(total, np.inf)):
+            assert luxemburg_norm(np.array([moved]), np.array([p])).value == pytest.approx(norm, rel=1e-14)
 
 
 @given(st.floats(min_value=0.05, max_value=20.0), st.integers(min_value=0, max_value=2**31 - 1))
@@ -159,10 +172,9 @@ def test_luxemburg_contract(name, field, unit_grid, unit_region, monkeypatch):
     calls = []
     root_finder = spaces.luxemburg_norm
 
-    def counted(modular, tol=1e-10, **kwargs):
-        seen = []
-        result = root_finder(lambda lam: seen.append(lam) or modular(lam), tol, **kwargs)
-        calls.append((modular, seen, result, tol))
+    def counted(terms, exponents, tol=1e-10):
+        result = root_finder(terms, exponents, tol)
+        calls.append((terms, exponents, result, tol))
         return result
 
     monkeypatch.setattr(spaces, "luxemburg_norm", counted)
@@ -171,15 +183,17 @@ def test_luxemburg_contract(name, field, unit_grid, unit_region, monkeypatch):
         u = scale * rng.normal(size=unit_grid.n_nodes)
         NORMS[name](u, field, unit_grid, unit_region)
     assert len(calls) == 7
-    for modular, seen, result, tol in calls:
+    for terms, exponents, result, tol in calls:
+        def modular(lam):
+            return float(np.sum(terms * np.exp(exponents * -math.log(lam))))
+
         lo, hi = result.bracket
         assert result.value == hi
         assert modular(lo) > 1.0 >= modular(hi)
         assert hi - lo <= tol * max(1.0, hi)
         assert abs(modular(hi) - 1.0) <= tol
         assert result.value == pytest.approx(_bisection_norm(modular), rel=1e-9)
-        assert len(seen) <= 12
-        assert result.iterations == len(seen) - 1
+        assert result.iterations <= 12
         assert result.modular == modular(1.0)
 
 
@@ -248,10 +262,10 @@ def test_grouped_terms_match_per_pair_sum(field, dim, rng, monkeypatch):
     terms, expos = region_pair_terms(u, field, 0.5, grid)
     assert np.array_equal(expos, np.unique(e))
     assert len(expos) < len(t) // 2 or field.kind == "product"
-    monkeypatch.setattr(spaces, "luxemburg_norm", lambda modular, tol: modular)
-    modular = sobolev_seminorm(u, field, 0.5, grid)
+    monkeypatch.setattr(spaces, "luxemburg_norm", lambda terms, exponents, tol: (terms, exponents))
+    grouped, powers = sobolev_seminorm(u, field, 0.5, grid)
     for lam in (0.5, 1.0, 2.0):
-        assert modular(lam) == pytest.approx(np.sum(t * lam**-e), rel=1e-12)
+        assert np.sum(grouped * lam**-powers) == pytest.approx(np.sum(t * lam**-e), rel=1e-12)
 
 
 def test_gagliardo_sandwich(unit_grid, unit_region, rng):
