@@ -1,9 +1,11 @@
 """Command-line front end: solve | norms | diagnose | iterate | check-exponent.
 
-Every command but ``iterate`` reads its grid, field and problem from
-``--config``.  ``diagnose`` takes no constants of its own: its levels are the
-quartiles of u, its inner radius is half the ball's, and the growth lemma's
-delta is calibrated and its gamma measured from the data.
+Every command but ``iterate`` reads ``--config`` once: the parser builds the
+grid and field while it validates them and hands them to the command with
+the problem values (:class:`config.RunConfig`).  ``diagnose`` takes no
+constants of its own: its levels are the quartiles of u, its inner radius is
+half the ball's, and the growth lemma's delta is calibrated and its gamma
+measured from the data.
 
 Outputs are plain CSV (17 significant digits, byte-identical across runs of
 the same configuration) and JSON reports.  Errors leave a machine-readable
@@ -89,20 +91,14 @@ def _dump_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=default) + "\n")
 
 
-def _load_run(args):
-    config = parse_config(args.config, args.seed)
-    grid = config.solve.build_grid()
-    field = config.solve.build_field()
-    return config, grid, field
-
-
 def _cmd_solve(args) -> int:
     _reuse_freed_memory()
-    config, grid, field = _load_run(args)
+    run = parse_config(args.config, args.seed)
+    grid = run.grid
     out = _out_dir(args)
-    g = exterior_data(config.solve.exterior, grid, config.solve.seed)
+    g = exterior_data(run.exterior, grid, run.seed)
     try:
-        result = minimize(config.solve, grid=grid, field=field, g=g)
+        result = minimize(grid, run.field, run.s, g, run.grad_tol, run.max_iter)
     except NonConvergenceError as err:
         write_grid_function(out / "solution.csv", grid, err.result.u)
         return _fail("non_convergence", "problem.max_iter", str(err))
@@ -125,16 +121,17 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_norms(args) -> int:
-    config, grid, field = _load_run(args)
+    run = parse_config(args.config, args.seed)
+    grid, field = run.grid, run.field
     out = _out_dir(args)
     u = read_grid_function(args.input, grid)
     region = grid.interior
     pbar = np.asarray(field.diagonal(grid.nodes))
     norm = lebesgue_norm(u, pbar, grid, region)
     # the seminorm reports its modular at unit scaling, so the pair terms are built once
-    semi = sobolev_seminorm(u, field, config.solve.s, grid, region)
+    semi = sobolev_seminorm(u, field, run.s, grid, region)
     _dump_json(out / "norms.json", {
-        "modular": lebesgue_modular(u, pbar, grid, region).value,
+        "modular": lebesgue_modular(u, pbar, grid, region),
         "norm": norm.value,
         "bracket": list(norm.bracket),
         "iterations": norm.iterations,
@@ -157,15 +154,12 @@ def _quantile(ordered: np.ndarray, q: float) -> float:
 
 
 def _cmd_diagnose(args) -> int:
-    config, grid, field = _load_run(args)
+    run = parse_config(args.config, args.seed)
+    grid, field, s, sigma, q = run.grid, run.field, run.s, run.sigma, run.q
     out = _out_dir(args)
     u = read_grid_function(args.input, grid)
-    dg = config.diagnostics
-    s = config.solve.s
-    sigma = config.solve.sigma
-    q = config.solve.q
-    x0 = np.asarray(dg.center)
-    radius = dg.radius
+    x0 = np.asarray(run.diagnostics.center)
+    radius = run.diagnostics.radius
 
     ordered = np.sort(u[grid.interior])
     levels = [_quantile(ordered, t) for t in (0.25, 0.5, 0.75)]
@@ -230,12 +224,12 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_check_exponent(args) -> int:
-    _, grid, field = _load_run(args)
+    run = parse_config(args.config, args.seed)
     out = _out_dir(args)
     reports = {
-        "interior_oscillation": check_interior_oscillation(field, grid),
-        "exterior_comparison": check_exterior_comparison(field, grid),
-        "log_holder": check_log_holder(field, grid),
+        "interior_oscillation": check_interior_oscillation(run.field, run.grid),
+        "exterior_comparison": check_exterior_comparison(run.field, run.grid),
+        "log_holder": check_log_holder(run.field, run.grid),
     }
     _dump_json(out / "exponent.json", {k: dataclasses.asdict(v) for k, v in reports.items()})
     if not all(v.passed for v in reports.values()):

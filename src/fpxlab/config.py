@@ -3,7 +3,10 @@
 The format is flat text with ``[section]`` headers and ``key = value``
 lines; ``#`` starts a comment.  Parsing validates eagerly and aggregates
 every problem into one :class:`ConfigError` so a bad file reports all its
-defects at once.
+defects at once.  Validating the grid and the field means building them, so
+the parser returns what it built: a :class:`RunConfig` holds the
+:class:`~fpxlab.grid.Grid` and :class:`~fpxlab.exponents.ExponentField` a
+command runs on, and the problem values it needs.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .exponents import tabulated_field
-from .grid import GridGeometryError, ball_mask, build_grid
-from .solve import SolveConfig, parse_exterior
+from .exponents import ExponentField, constant_field, product_field, radial_field, tabulated_field
+from .grid import Grid, GridGeometryError, ball_mask, build_grid
+from .solve import parse_exterior
 
 __all__ = ["RunConfig", "DiagnosticsSpec", "ConfigError", "parse_config", "parse_text"]
 
@@ -36,7 +39,17 @@ class DiagnosticsSpec:
 
 @dataclass
 class RunConfig:
-    solve: SolveConfig
+    """A validated run: the grid and field as built, the problem values and the diagnostics ball."""
+
+    grid: Grid
+    field: ExponentField
+    s: float
+    sigma: float
+    q: float
+    exterior: str
+    grad_tol: float
+    max_iter: int
+    seed: int
     diagnostics: DiagnosticsSpec
 
 
@@ -98,11 +111,11 @@ def _exterior(raw: str) -> str:
     return raw
 
 
-def parse_text(text: str, seed: int | None = None, base=None) -> RunConfig:
+def parse_text(text: str, seed: int | None = None, base=".") -> RunConfig:
     """Parse and validate a configuration; ``seed``, when given, replaces ``problem.seed``.
 
-    ``base``, when given, is the directory a relative ``field.table`` is read
-    from, and the table there must exist and pass the field's own checks.
+    A relative ``field.table`` is read from the directory ``base``, and the
+    table there must exist and pass the field's own checks.
     """
     problems: list = []
     sections = _read_sections(text, problems)
@@ -126,16 +139,23 @@ def parse_text(text: str, seed: int | None = None, base=None) -> RunConfig:
         except GridGeometryError as err:
             problems.append({"field": "grid.halfwidth", "message": str(err)})
 
-    preset = _get(sections, "field", "preset", str, "constant", problems,
-                  lambda v: v in ("constant", "radial", "product", "tabulated"), "unknown preset")
+    preset = _get(sections, "field", "preset", str, "constant", problems)
     value = _get(sections, "field", "value", float, 2.0, problems, lambda v: v > 1, "must exceed 1")
     table = _get(sections, "field", "table", str, None, problems)
-    if preset == "tabulated" and table is None:
+    field = None
+    if preset == "constant":
+        field = constant_field(value) if value > 1 else None  # a value <= 1 is listed above
+    elif preset == "radial":
+        field = radial_field()
+    elif preset == "product":
+        field = product_field()
+    elif preset != "tabulated":
+        problems.append({"field": "field.preset", "message": "unknown preset"})
+    elif table is None:
         problems.append({"field": "field.table", "message": "required for the tabulated preset"})
-    elif preset == "tabulated" and base is not None:
-        table = str(Path(base) / table)  # an absolute table stays as it is
+    elif dim != 2:  # a 2-D grid is refused below, whatever the table holds
         try:
-            tabulated_field(path=table)  # the table as the run reads and checks it
+            field = tabulated_field(path=Path(base) / table)  # an absolute table stays as it is
         except (OSError, ValueError) as err:
             problems.append({"field": "field.table", "message": str(err)})
     if preset == "tabulated" and dim == 2:
@@ -167,19 +187,8 @@ def parse_text(text: str, seed: int | None = None, base=None) -> RunConfig:
 
     if problems:
         raise ConfigError(problems)
-
-    field_params = {}
-    if preset == "constant":
-        field_params["value"] = value
-    if preset == "tabulated":
-        field_params["table"] = table
-    solve = SolveConfig(
-        s=s, sigma=sigma, q=q, dim=dim, center=center, halfwidths=halfwidth,
-        r_trunc=r_trunc, nodes_per_axis=nodes, field_kind=preset,
-        field_params=field_params, exterior=exterior, grad_tol=grad_tol,
-        max_iter=max_iter, seed=seed,
-    )
-    return RunConfig(solve=solve, diagnostics=DiagnosticsSpec(center=diag_center, radius=radius))
+    return RunConfig(grid=grid, field=field, s=s, sigma=sigma, q=q, exterior=exterior, grad_tol=grad_tol,
+                     max_iter=max_iter, seed=seed, diagnostics=DiagnosticsSpec(center=diag_center, radius=radius))
 
 
 def parse_config(path, seed: int | None = None) -> RunConfig:

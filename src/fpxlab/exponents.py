@@ -44,7 +44,6 @@ __all__ = [
     "radial_field",
     "product_field",
     "tabulated_field",
-    "field_from_spec",
     "radial_profile",
     "slow_modulus",
     "extrema_over_product",
@@ -237,19 +236,6 @@ def tabulated_field(path=None, xs=None, table=None) -> ExponentField:
         p_max=float(table.max()),
         params={"xs": xs, "table": table, "tol": spacing / 2 + 1e-12},
     )
-
-
-def field_from_spec(kind: str, **params) -> ExponentField:
-    """Construct a field from configuration primitives."""
-    if kind == "constant":
-        return constant_field(params.get("value", 2.0))
-    if kind == "radial":
-        return radial_field()
-    if kind == "product":
-        return product_field()
-    if kind == "tabulated":
-        return tabulated_field(path=params["table"])
-    raise ValueError(f"unknown exponent field kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -570,20 +570,19 @@ class HolderFit:
     defined: bool
 
 
-def holder_exponent_fit(u: np.ndarray, grid: Grid, x0, radius: float,
-                        j_max: int = 8) -> HolderFit:
+def holder_exponent_fit(u: np.ndarray, grid: Grid, x0, radius: float) -> HolderFit:
     """Least-squares slope of log oscillation against log radius, ratio 4.
 
-    Oscillations are max - min of u over the nested balls B_(4^-j R).  At
-    least three dyadic levels must stay above twice the node spacing;
-    otherwise the fit would see mostly quadrature noise and a
+    Oscillations are max - min of u over the nested balls B_(4^-j R),
+    j = 0, ..., 8.  At least three dyadic levels must stay above twice the
+    node spacing; otherwise the fit would see mostly quadrature noise and a
     :class:`ResolutionError` is raised.  ``defined`` is false for data that
     is constant on the base ball.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     base = u[ball_mask(grid, x0, radius)]  # the domain rule comes before the resolution check
     radii = []
-    for j in range(j_max + 1):
+    for j in range(9):
         rj = radius * 4.0**-j
         if rj < 2.0 * grid.h:
             break

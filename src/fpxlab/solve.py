@@ -19,21 +19,24 @@ exactly in zero descent steps.
 Convergence is declared on the weighted nodal residual
 max_i |m_i L(u)_i| (see :func:`operators.weighted_residual`), which is stable
 under mesh refinement, rather than on the raw gradient.
+
+:func:`minimize` reads no configuration: it takes the grid, the field, the
+order s, the nodal exterior data and its two stopping values as arguments,
+as ``fpxlab solve`` has them from :func:`config.parse_config`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import ExponentField, field_from_spec
-from .grid import Grid, build_grid
+from .exponents import ExponentField
+from .grid import Grid
 from .operators import PairKernel, weighted_residual
 
 __all__ = [
-    "SolveConfig",
     "SolveResult",
     "NonConvergenceError",
     "MaxPrincipleReport",
@@ -59,36 +62,6 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message, result):
         super().__init__(message)
         self.result = result
-
-
-@dataclass
-class SolveConfig:
-    s: float
-    sigma: float
-    q: float
-    dim: int = 1
-    center: tuple = (0.0,)
-    halfwidths: tuple = (1.0,)
-    r_trunc: float = 4.0
-    nodes_per_axis: int = 201
-    field_kind: str = "constant"
-    field_params: dict = dc_field(default_factory=dict)
-    exterior: str = "constant:0"
-    grad_tol: float = 1e-8
-    max_iter: int = 50_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.sigma < self.s < 1.0):
-            raise ValueError("need 0 < sigma < s < 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
-
-    def build_grid(self) -> Grid:
-        return build_grid(self.dim, self.center, self.halfwidths, self.r_trunc, self.nodes_per_axis)
-
-    def build_field(self) -> ExponentField:
-        return field_from_spec(self.field_kind, **self.field_params)
 
 
 @dataclass
@@ -253,34 +226,30 @@ def descend(kernel: PairKernel, u0: np.ndarray, grad_tol: float, max_iter: int):
     return best_u, np.asarray(history), best_residual, it
 
 
-def minimize(config: SolveConfig, grid: Grid | None = None,
-             field: ExponentField | None = None, g: np.ndarray | None = None) -> SolveResult:
-    """Solve the exterior-data problem of ``config``.
+def minimize(grid: Grid, field: ExponentField, s: float, g: np.ndarray,
+             grad_tol: float, max_iter: int) -> SolveResult:
+    """Minimise the energy of order ``s`` on ``grid`` with exterior data ``g``.
 
-    Collar values are pinned to the data; interior values start from the
+    Collar values are pinned to ``g``; interior values start from the
     mean of the collar data and descend the energy on one
     :class:`PairKernel` (see :func:`descend`) until the weighted nodal
     residual drops below ``grad_tol``.  A constant p = 2 field is solved by
-    the first step.  A descent that stops above ``grad_tol`` (budget spent
-    or no acceptable step left) raises :class:`NonConvergenceError` carrying
-    the partial result.
+    the first step.  A descent that stops above ``grad_tol`` (``max_iter``
+    spent or no acceptable step left) raises :class:`NonConvergenceError`
+    carrying the partial result.
     """
-    grid = config.build_grid() if grid is None else grid
-    field = config.build_field() if field is None else field
-    if g is None:
-        g = exterior_data(config.exterior, grid, config.seed)
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g[grid.exterior])):
         raise ValueError("exterior data must be finite on the collar")
 
     u0 = g.copy()
     u0[grid.interior] = np.mean(g[grid.exterior])
-    kernel = PairKernel(grid, field, config.s)
-    u, history, residual, iters = descend(kernel, u0, config.grad_tol, config.max_iter)
+    kernel = PairKernel(grid, field, s)
+    u, history, residual, iters = descend(kernel, u0, grad_tol, max_iter)
     result = SolveResult(u=u, iterations=iters, final_residual=residual, energy_history=history)
-    if residual > config.grad_tol:
+    if residual > grad_tol:
         raise NonConvergenceError(
-            f"residual {residual:.3e} above tolerance {config.grad_tol:.3e} "
+            f"residual {residual:.3e} above tolerance {grad_tol:.3e} "
             f"after {iters} iterations", result,
         )
     return result
@@ -295,8 +264,8 @@ class MaxPrincipleReport:
     excess: float
 
 
-def comparison_check(u: np.ndarray, grid: Grid, g: np.ndarray, tol: float = 1e-8) -> MaxPrincipleReport:
-    """Discrete maximum principle: interior values within the collar range."""
+def comparison_check(u: np.ndarray, grid: Grid, g: np.ndarray) -> MaxPrincipleReport:
+    """Discrete maximum principle: interior values within the collar range, up to 1e-8."""
     lo = float(np.min(g[grid.exterior]))
     hi = float(np.max(g[grid.exterior]))
     inner = u[grid.interior]
@@ -305,7 +274,7 @@ def comparison_check(u: np.ndarray, grid: Grid, g: np.ndarray, tol: float = 1e-8
     excess = np.maximum(over, under)
     k = int(np.argmax(excess))
     return MaxPrincipleReport(
-        passed=bool(excess[k] <= tol),
+        passed=bool(excess[k] <= 1e-8),
         lower=lo,
         upper=hi,
         worst_node=grid.nodes[grid.interior][k].copy(),

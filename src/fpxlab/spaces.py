@@ -27,7 +27,6 @@ from .exponents import ExponentField, node_pairs
 from .grid import Grid
 
 __all__ = [
-    "ModularResult",
     "NormResult",
     "ModularDivergenceError",
     "lebesgue_modular",
@@ -40,15 +39,6 @@ __all__ = [
 
 class ModularDivergenceError(RuntimeError):
     """The modular is not finite at unit scaling, or its root escapes float64."""
-
-
-@dataclass
-class ModularResult:
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("modular values are nonnegative")
 
 
 @dataclass
@@ -73,11 +63,10 @@ def _region_mask(grid: Grid, region) -> np.ndarray:
     return mask
 
 
-def lebesgue_modular(u: np.ndarray, pbar: np.ndarray, grid: Grid, region=None) -> ModularResult:
+def lebesgue_modular(u: np.ndarray, pbar: np.ndarray, grid: Grid, region=None) -> float:
     """sum over region of m |u|^pbar, pbar the diagonal exponent trace."""
     mask = _region_mask(grid, region)
-    value = grid.measure * np.sum(np.abs(u[mask]) ** np.asarray(pbar)[mask])
-    return ModularResult(float(value))
+    return float(grid.measure * np.sum(np.abs(u[mask]) ** np.asarray(pbar)[mask]))
 
 
 def region_pair_terms(u: np.ndarray, expo, order: float, grid: Grid, region_a=None, region_b=None):
@@ -113,10 +102,10 @@ def region_pair_terms(u: np.ndarray, expo, order: float, grid: Grid, region_a=No
 
 
 def gagliardo_modular(u: np.ndarray, field: ExponentField, s: float, grid: Grid,
-                      region_a=None, region_b=None) -> ModularResult:
+                      region_a=None, region_b=None) -> float:
     """Double region sum of |u_i - u_j|^p_ij / |x_i - x_j|^(dim + s p_ij)."""
     terms, _ = region_pair_terms(u, field, s, grid, region_a, region_b)
-    return ModularResult(float(np.sum(terms)))
+    return float(np.sum(terms))
 
 
 _MAX_EVALUATIONS = 100  # modular evaluations of a Luxemburg root search after the unit scaling

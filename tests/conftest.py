@@ -1,3 +1,4 @@
+import types
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from fpxlab.exponents import constant_field, radial_field
 from fpxlab.grid import _in_half_open_box, build_grid
 from fpxlab.operators import PairKernel
 from fpxlab.regularity import algebraic_constant
-from fpxlab.solve import SolveConfig, minimize
+from fpxlab.solve import exterior_data, minimize
 
 
 def dense_kernel(grid, field, s):
@@ -88,10 +89,10 @@ def fine_line_grid():
 @pytest.fixture(scope="session")
 def radial_solution(fine_line_grid):
     """Solved linear-data instance with the radial field on the fine grid."""
-    cfg = SolveConfig(s=0.5, sigma=0.25, q=1.5, nodes_per_axis=401,
-                      field_kind="radial", exterior="linear", grad_tol=1e-9)
+    cfg = types.SimpleNamespace(s=0.5, sigma=0.25, q=1.5, grad_tol=1e-9)
     field = radial_field()
-    result = minimize(cfg, grid=fine_line_grid, field=field)
+    g = exterior_data("linear", fine_line_grid)
+    result = minimize(fine_line_grid, field, cfg.s, g, cfg.grad_tol, 50_000)
     return cfg, fine_line_grid, field, result
 
 

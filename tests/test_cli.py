@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpxlab import exponents
 from fpxlab.cli import _quantile, main
 from fpxlab.config import _SECTIONS, ConfigError, DiagnosticsSpec, parse_text
 from fpxlab.grid import build_grid, read_grid_function, write_grid_function
@@ -50,9 +52,9 @@ def config_path(tmp_path):
 
 def test_parse_minimal_defaults():
     cfg = parse_text("[grid]\ndim = 1\n")
-    assert cfg.solve.nodes_per_axis == 201
-    assert cfg.solve.s == 0.5
-    assert cfg.solve.field_kind == "constant"
+    assert cfg.grid.nodes_per_axis == 201
+    assert cfg.s == 0.5
+    assert cfg.field.kind == "constant"
     assert cfg.diagnostics == DiagnosticsSpec(center=(0.0,), radius=0.5)
 
 
@@ -217,7 +219,7 @@ def test_diagnose_calibrated_delta_reported_only_where_lemma_holds(tmp_path, hei
     # 11 (delta H = 0.6875) and holds at 12 (0.75)
     path = tmp_path / "run.cfg"
     path.write_text(BASE_CONFIG.replace("preset = radial", "preset = constant"))
-    grid = parse_text(path.read_text()).solve.build_grid()
+    grid = parse_text(path.read_text()).grid
     write_grid_function(tmp_path / "u.csv", grid, np.where(grid.interior, height, 0.0))
     assert main(["diagnose", "--config", str(path), "--input", str(tmp_path / "u.csv"),
                  "--out", str(tmp_path)]) == 0
@@ -248,11 +250,11 @@ def test_norms_modulars_match_library(config_path, tmp_path):
                  "--input", str(out / "solution.csv"), "--out", str(out)]) == 0
     report = json.loads((out / "norms.json").read_text())
     cfg = parse_text(BASE_CONFIG)
-    grid, field = cfg.solve.build_grid(), cfg.solve.build_field()
+    grid, field = cfg.grid, cfg.field
     u = read_grid_function(out / "solution.csv", grid)
     pbar = np.asarray(field.diagonal(grid.nodes))
-    assert report["modular"] == lebesgue_modular(u, pbar, grid).value
-    assert report["gagliardo_modular"] == gagliardo_modular(u, field, cfg.solve.s, grid).value
+    assert report["modular"] == lebesgue_modular(u, pbar, grid)
+    assert report["gagliardo_modular"] == gagliardo_modular(u, field, cfg.s, grid)
 
 
 def test_analysis_outputs_deterministic(config_path, tmp_path):
@@ -323,6 +325,33 @@ def test_tabulated_table_is_read_next_to_the_config(tmp_path, monkeypatch):
     assert main(["check-exponent", *args]) == 0
     assert sorted(path.name for path in (elsewhere / "out").iterdir()) == [
         "diagnostics.json", "energy_history.csv", "exponent.json", "norms.json", "solution.csv", "solve.json"]
+
+
+def test_each_command_builds_its_grid_and_field_once(tmp_path):
+    # the parser builds both while it validates them, and the command runs on what it built;
+    # calls are counted by code object, so no import alias can hide one
+    write_exponent_table(tmp_path / "field.csv", build_grid(1, 0.0, 1.0, 1.5, 121))
+    config = tmp_path / "run.cfg"
+    config.write_text("[grid]\nr_trunc = 1.5\nnodes_per_axis = 121\n\n"
+                      "[field]\npreset = tabulated\ntable = field.csv\n\n[problem]\nexterior = linear\n")
+    args = ["--config", str(config), "--out", str(tmp_path / "out")]
+    solution = str(tmp_path / "out" / "solution.csv")
+    watched = {build_grid.__code__: "build_grid", exponents.tabulated_field.__code__: "tabulated_field"}
+    for argv in (["solve", *args], ["norms", *args, "--input", solution],
+                 ["diagnose", *args, "--input", solution], ["check-exponent", *args]):
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls.append(watched[frame.f_code])
+
+        sys.setprofile(profile)
+        try:
+            code = main(argv)
+        finally:
+            sys.setprofile(None)
+        assert code == 0, argv[0]
+        assert sorted(calls) == ["build_grid", "tabulated_field"], argv[0]
 
 
 def test_tabulated_cell_that_is_not_a_number_is_a_config_problem(tmp_path, capsys):

@@ -25,7 +25,7 @@ from fpxlab.regularity import (
     truncate_level,
 )
 from fpxlab.operators import PairKernel, tail
-from fpxlab.solve import SolveConfig, exterior_data, minimize
+from fpxlab.solve import exterior_data, minimize
 
 from conftest import algebraic_inequality_check
 
@@ -35,11 +35,9 @@ def tall_solution():
     """p = 2 solve with positive data tall enough for growth scenarios."""
     grid = build_grid(1, 0.0, 1.0, 4.0, 201)
     field = constant_field(2.0)
-    cfg = SolveConfig(s=0.5, sigma=0.25, q=1.5, nodes_per_axis=201,
-                      field_kind="constant", field_params={"value": 2.0},
-                      exterior="sine:2", grad_tol=1e-9)
+    cfg = types.SimpleNamespace(s=0.5, sigma=0.25, q=1.5)
     g = 12.0 + 2.0 * np.sin(2.0 * grid.nodes[:, 0])
-    result = minimize(cfg, grid=grid, field=field, g=g)
+    result = minimize(grid, field, cfg.s, g, 1e-9, 50_000)
     return grid, field, cfg, result
 
 
@@ -245,14 +243,11 @@ def test_sup_bound_family_constant_transfers():
     reports = {}
     for n in (201, 401):
         grid = build_grid(1, 0.0, 1.0, 4.0, n)
-        cfg = SolveConfig(s=0.5, sigma=0.25, q=1.5, nodes_per_axis=n,
-                          field_kind="constant", field_params={"value": 2.0},
-                          exterior="random:1.0", grad_tol=1e-8)
         rows = []
         for seed in range(4):
             g = 5.0 * exterior_data("random:1.0", grid, seed) + 6.0
-            result = minimize(cfg, grid=grid, field=field, g=g)
-            rows.append(sup_bound_check(result.u, field, cfg.s, grid, 0.0, sigma=cfg.sigma))
+            result = minimize(grid, field, 0.5, g, 1e-8, 50_000)
+            rows.append(sup_bound_check(result.u, field, 0.5, grid, 0.0, sigma=0.25))
         reports[n] = rows
     c_coarse = max(r.c_empirical for r in reports[201])
     c_fine = max(r.c_empirical for r in reports[401])
@@ -320,12 +315,10 @@ def test_growth_variable_exponent_instance():
     # small balls keep the coincident-pair exponent subcritical at sigma=0.35
     grid = build_grid(1, 0.0, 1.0, 4.0, 401)
     field = radial_field()
-    cfg = SolveConfig(s=0.5, sigma=0.35, q=1.5, nodes_per_axis=401,
-                      field_kind="radial", exterior="sine:2", grad_tol=1e-8)
     g = 6.0 + 2.0 * np.sin(2.0 * grid.nodes[:, 0])
-    result = minimize(cfg, grid=grid, field=field, g=g)
+    result = minimize(grid, field, 0.5, g, 1e-8, 50_000)
     assert np.all(result.u > 0)
-    delta, rep = calibrate_growth_delta(result.u, field, cfg.s, grid, 0.0, 0.1, cfg.sigma)
+    delta, rep = calibrate_growth_delta(result.u, field, 0.5, grid, 0.0, 0.1, 0.35)
     assert delta is not None, rep.failed
     assert rep.hypotheses_met and rep.conclusion_holds
 
@@ -335,10 +328,9 @@ def radial_growth_solution():
     """The solved instance of test_growth_variable_exponent_instance."""
     grid = build_grid(1, 0.0, 1.0, 4.0, 401)
     field = radial_field()
-    cfg = SolveConfig(s=0.5, sigma=0.35, q=1.5, nodes_per_axis=401,
-                      field_kind="radial", exterior="sine:2", grad_tol=1e-8)
+    cfg = types.SimpleNamespace(s=0.5, sigma=0.35, q=1.5)
     g = 6.0 + 2.0 * np.sin(2.0 * grid.nodes[:, 0])
-    result = minimize(cfg, grid=grid, field=field, g=g)
+    result = minimize(grid, field, cfg.s, g, 1e-8, 50_000)
     return grid, field, cfg, result
 
 
@@ -349,8 +341,7 @@ def _ramp_instance(scale):
     1/16 and 1/8.  u is not a solve; ``result`` carries only u.
     """
     grid = build_grid(1, 0.0, 1.0, 4.0, 201)
-    cfg = SolveConfig(s=0.5, sigma=0.25, q=1.5, nodes_per_axis=201,
-                      field_kind="constant", field_params={"value": 2.0})
+    cfg = types.SimpleNamespace(s=0.5, sigma=0.25, q=1.5)
     u = scale * (0.1 + 1.9 * np.minimum(np.abs(grid.nodes[:, 0]) / 0.5, 1.0))
     return grid, constant_field(2.0), cfg, types.SimpleNamespace(u=u)
 
@@ -484,14 +475,11 @@ def test_sublevel_constant_stable_under_refinement():
     values = []
     for n in (201, 401):
         grid = build_grid(1, 0.0, 1.0, 4.0, n)
-        cfg = SolveConfig(s=0.5, sigma=0.25, q=1.5, nodes_per_axis=n,
-                          field_kind="constant", field_params={"value": 2.0},
-                          exterior="sine:2", grad_tol=1e-8)
         g = 12.0 + 2.0 * np.sin(2.0 * grid.nodes[:, 0])
-        result = minimize(cfg, grid=grid, field=field, g=g)
+        result = minimize(grid, field, 0.5, g, 1e-8, 50_000)
         level = float(np.quantile(result.u[grid.interior], 0.5))
-        rep = sublevel_energy_check(result.u, field, cfg.s, grid, 0.0, 0.5, level,
-                                    sigma=cfg.sigma, q=cfg.q)
+        rep = sublevel_energy_check(result.u, field, 0.5, grid, 0.0, 0.5, level,
+                                    sigma=0.25, q=1.5)
         values.append(rep.c_empirical)
     assert values[0] > 0 and values[1] > 0
     assert 0.5 <= values[0] / values[1] <= 2.0
@@ -544,10 +532,7 @@ def test_holder_fit_solved_smooth_data():
     alphas = []
     for n in (401, 801):
         grid = build_grid(1, 0.0, 1.0, 4.0, n)
-        cfg = SolveConfig(s=0.5, sigma=0.25, q=1.5, nodes_per_axis=n,
-                          field_kind="constant", field_params={"value": 2.0},
-                          exterior="sine:1", grad_tol=5e-9)
-        result = minimize(cfg, grid=grid, field=field)
+        result = minimize(grid, field, 0.5, exterior_data("sine:1", grid), 5e-9, 50_000)
         fit = holder_exponent_fit(result.u, grid, 0.0, 0.64)
         assert fit.defined
         alphas.append(fit.alpha)

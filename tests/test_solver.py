@@ -1,38 +1,37 @@
 import numpy as np
 import pytest
 
-from fpxlab.exponents import constant_field, radial_field
+from fpxlab.config import ConfigError, parse_text
+from fpxlab.exponents import constant_field, product_field, radial_field
 from fpxlab.grid import build_grid
 from fpxlab.operators import PairKernel, weighted_residual
 from fpxlab.solve import (
     FACTOR_BLOCK,
     Cholesky,
     NonConvergenceError,
-    SolveConfig,
     comparison_check,
     exterior_data,
     minimize,
 )
 
+FIELDS = {"constant": constant_field, "radial": radial_field, "product": product_field}
 
-def make_config(**overrides):
-    base = dict(s=0.5, sigma=0.25, q=1.5, nodes_per_axis=201,
-                field_kind="constant", field_params={"value": 2.0},
-                exterior="constant:0", grad_tol=1e-9)
-    base.update(overrides)
-    return SolveConfig(**base)
+
+def solve(grid, field, exterior, s=0.5, grad_tol=1e-9, seed=0, max_iter=50_000):
+    """Solve with the exterior data of a spec on every node of ``grid``."""
+    return minimize(grid, field, s, exterior_data(exterior, grid, seed), grad_tol, max_iter)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        make_config(sigma=0.6)  # sigma >= s
-    with pytest.raises(ValueError):
-        make_config(grad_tol=0.0)
+    # the parser is the one place these are checked; minimize takes its values as given
+    for text, field in (("sigma = 0.6", "problem.sigma"), ("grad_tol = 0", "problem.grad_tol")):
+        with pytest.raises(ConfigError) as err:
+            parse_text(f"[problem]\n{text}\n")  # sigma >= s, grad_tol not positive
+        assert [p["field"] for p in err.value.problems] == [field]
 
 
 def test_constant_data_is_exact(line_grid):
-    cfg = make_config(exterior="constant:2.5")
-    result = minimize(cfg, grid=line_grid, field=constant_field(2.0))
+    result = solve(line_grid, constant_field(2.0), "constant:2.5")
     assert result.iterations <= 1
     assert np.all(result.u == 2.5)
     assert result.energy_history[-1] == 0.0
@@ -58,8 +57,7 @@ def test_energy_history_ends_at_the_solution_energy(radial_solution):
 
 def test_exterior_values_pinned(line_grid):
     g = exterior_data("sign", line_grid)
-    cfg = make_config(exterior="sign")
-    result = minimize(cfg, grid=line_grid, field=constant_field(2.0), g=g)
+    result = minimize(line_grid, constant_field(2.0), 0.5, g, 1e-9, 50_000)
     assert np.array_equal(result.u[line_grid.exterior], g[line_grid.exterior])
     rep = comparison_check(result.u, line_grid, g)
     assert rep.passed
@@ -67,8 +65,7 @@ def test_exterior_values_pinned(line_grid):
 
 def test_sign_data_respects_bounds(line_grid):
     g = exterior_data("sign", line_grid)
-    cfg = make_config(exterior="sign")
-    result = minimize(cfg, grid=line_grid, field=constant_field(2.0), g=g)
+    result = minimize(line_grid, constant_field(2.0), 0.5, g, 1e-9, 50_000)
     assert np.all(result.u >= -1.0 - 1e-8)
     assert np.all(result.u <= 1.0 + 1e-8)
 
@@ -76,9 +73,8 @@ def test_sign_data_respects_bounds(line_grid):
 def test_max_principle_sweep(line_grid):
     field = constant_field(2.0)
     for seed in range(5):
-        cfg = make_config(exterior="random:1.0", seed=seed)
         g = exterior_data("random:1.0", line_grid, seed)
-        result = minimize(cfg, grid=line_grid, field=field, g=g)
+        result = minimize(line_grid, field, 0.5, g, 1e-9, 50_000)
         rep = comparison_check(result.u, line_grid, g)
         assert rep.passed, f"seed {seed} violated by {rep.excess:.2e}"
 
@@ -87,18 +83,16 @@ def test_restarts_agree(rng):
     # strictly convex above exponent two: restarts land on one minimiser
     grid = build_grid(1, 0.0, 1.0, 4.0, 81)
     field = constant_field(2.5)
-    cfg = make_config(nodes_per_axis=81, field_params={"value": 2.5},
-                      exterior="sine:2", grad_tol=1e-11)
     g = exterior_data("sine:2", grid)
-    kernel = PairKernel(grid, field, cfg.s)
+    kernel = PairKernel(grid, field, 0.5)
     solutions = []
     from fpxlab.solve import descend
 
     for _ in range(5):
         u0 = g.copy()
         u0[grid.interior] = rng.normal(scale=2.0, size=grid.interior.sum())
-        u, _, res, _ = descend(kernel, u0, cfg.grad_tol, cfg.max_iter)
-        assert res <= cfg.grad_tol
+        u, _, res, _ = descend(kernel, u0, 1e-11, 50_000)
+        assert res <= 1e-11
         solutions.append(u)
     for u in solutions[1:]:
         assert np.max(np.abs(u - solutions[0])) <= 1e-5
@@ -108,10 +102,8 @@ def test_restarts_agree(rng):
 def test_slow_descent_is_not_cut_short(line_grid, seed):
     # the residual here improves by under 0.1% over 50 steps while the energy still
     # falls, far above grad_tol; descent must go on rather than stop as stalled
-    cfg = make_config(field_kind="product", field_params={}, exterior="random:1",
-                      grad_tol=1e-8, seed=seed)
-    result = minimize(cfg, grid=line_grid)
-    assert result.final_residual <= cfg.grad_tol
+    result = solve(line_grid, product_field(), "random:1", grad_tol=1e-8, seed=seed)
+    assert result.final_residual <= 1e-8
     assert np.all(np.diff(result.energy_history) <= 0.0)
 
 
@@ -122,9 +114,8 @@ def test_slow_descent_is_not_cut_short(line_grid, seed):
     (401, 4.0, "sign", 0.9, 2),
 ])
 def test_quadratic_solve_is_exact(dense, nodes, r_trunc, exterior, s, steps):
-    cfg = make_config(nodes_per_axis=nodes, r_trunc=r_trunc, exterior=exterior, s=s, grad_tol=1e-14)
-    grid = cfg.build_grid()
-    result = minimize(cfg, grid=grid)
+    grid = build_grid(1, 0.0, 1.0, r_trunc, nodes)
+    result = solve(grid, constant_field(2.0), exterior, s=s, grad_tol=1e-14)
     assert result.iterations <= steps
     assert result.final_residual <= 1e-14
     # the linear system grad F = 0 on the interior, from the dense ordered-pair oracle
@@ -153,18 +144,16 @@ REFINED_BOUND = 25
 ])
 def test_iterations_stay_bounded_under_refinement(case, nodes):
     field_kind, field_params, exterior, s = REFINED_CASES[case]
-    cfg = make_config(nodes_per_axis=nodes, field_kind=field_kind, field_params=field_params,
-                      exterior=exterior, s=s, grad_tol=1e-8)
-    assert minimize(cfg).iterations <= REFINED_BOUND
+    grid = build_grid(1, 0.0, 1.0, 4.0, nodes)
+    field = FIELDS[field_kind](**field_params)
+    assert solve(grid, field, exterior, s=s, grad_tol=1e-8).iterations <= REFINED_BOUND
 
 
 def test_hardest_product_seed_converges(fine_line_grid):
     # the p = 2 metric took 5,812 iterations on this data seed
-    cfg = make_config(nodes_per_axis=401, field_kind="product", field_params={},
-                      exterior="random:1", grad_tol=1e-8, seed=329)
-    result = minimize(cfg, grid=fine_line_grid)
+    result = solve(fine_line_grid, product_field(), "random:1", grad_tol=1e-8, seed=329)
     assert result.iterations <= 500
-    assert result.final_residual <= cfg.grad_tol
+    assert result.final_residual <= 1e-8
 
 
 @pytest.mark.parametrize("n", [FACTOR_BLOCK - 1, FACTOR_BLOCK, FACTOR_BLOCK + 1, 2 * FACTOR_BLOCK + 37])
@@ -208,9 +197,8 @@ def test_solution_residual_below_tolerance(radial_solution):
 
 def test_nonconvergence_carries_partial_result(line_grid):
     # a p = 2 solve converges in one step, so the budget runs out on a product field
-    cfg = make_config(field_kind="product", field_params={}, exterior="random:1", max_iter=2)
     with pytest.raises(NonConvergenceError) as err:
-        minimize(cfg, grid=line_grid)
+        solve(line_grid, product_field(), "random:1", max_iter=2)
     partial = err.value.result
     assert partial.u.shape == (line_grid.n_nodes,)
     assert np.all(np.isfinite(partial.u))
@@ -220,10 +208,8 @@ def test_nonconvergence_carries_partial_result(line_grid):
 def test_float_floor_ends_the_descent(line_grid, field_kind, field_params):
     # no float64 iterate meets this tolerance: once a step no longer moves u the descent
     # stops there, rather than repeating that step until the budget is spent
-    cfg = make_config(field_kind=field_kind, field_params=field_params, exterior="random:1",
-                      grad_tol=1e-17, max_iter=5000)
     with pytest.raises(NonConvergenceError) as err:
-        minimize(cfg, grid=line_grid)
+        solve(line_grid, FIELDS[field_kind](**field_params), "random:1", grad_tol=1e-17, max_iter=5000)
     assert err.value.result.iterations < 1000
     assert err.value.result.final_residual <= 1e-14
 
@@ -232,15 +218,11 @@ def test_rejects_nonfinite_exterior(line_grid):
     g = np.zeros(line_grid.n_nodes)
     g[line_grid.exterior] = np.nan
     with pytest.raises(ValueError):
-        minimize(make_config(), grid=line_grid, field=constant_field(2.0), g=g)
+        minimize(line_grid, constant_field(2.0), 0.5, g, 1e-9, 50_000)
 
 
 def test_2d_solve_smoke():
     grid = build_grid(2, (0.0, 0.0), (1.0, 1.0), 3.0, 19)
-    cfg = SolveConfig(s=0.5, sigma=0.25, q=1.5, dim=2, center=(0.0, 0.0),
-                      halfwidths=(1.0, 1.0), r_trunc=3.0, nodes_per_axis=19,
-                      field_kind="constant", field_params={"value": 2.0},
-                      exterior="linear", grad_tol=1e-7)
-    result = minimize(cfg, grid=grid, field=constant_field(2.0))
+    result = solve(grid, constant_field(2.0), "linear", grad_tol=1e-7)
     # odd data on a symmetric grid: the linear function is the exact solution
     assert np.max(np.abs(result.u - grid.nodes[:, 0])) <= 1e-6

@@ -40,12 +40,12 @@ def unit_region(unit_grid):
 def test_lebesgue_modular_unit(unit_grid, unit_region):
     pbar = np.full(unit_grid.n_nodes, 2.0)
     mod = lebesgue_modular(np.ones(unit_grid.n_nodes), pbar, unit_grid, unit_region)
-    assert mod.value == pytest.approx(1.0, abs=1e-12)
+    assert mod == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lebesgue_modular_zero(unit_grid, unit_region):
     pbar = np.full(unit_grid.n_nodes, 2.0)
-    assert lebesgue_modular(np.zeros(unit_grid.n_nodes), pbar, unit_grid, unit_region).value == 0.0
+    assert lebesgue_modular(np.zeros(unit_grid.n_nodes), pbar, unit_grid, unit_region) == 0.0
 
 
 def test_lebesgue_modular_variable_exponent_closed_form(unit_grid, unit_region):
@@ -55,8 +55,8 @@ def test_lebesgue_modular_variable_exponent_closed_form(unit_grid, unit_region):
     pbar = 2.0 + unit_grid.nodes[:, 0]
     mod = lebesgue_modular(np.full(unit_grid.n_nodes, 2.0), pbar, unit_grid, unit_region)
     exact = 4.0 / math.log(2.0)
-    assert mod.value == pytest.approx(exact * 2.0 ** (-unit_grid.h / 2), rel=1e-5)
-    assert mod.value == pytest.approx(exact, rel=1e-2)
+    assert mod == pytest.approx(exact * 2.0 ** (-unit_grid.h / 2), rel=1e-5)
+    assert mod == pytest.approx(exact, rel=1e-2)
 
 
 # -- Luxemburg norms ----------------------------------------------------------
@@ -132,7 +132,7 @@ def test_luxemburg_trichotomy_property(scale, seed):
     u = scale * np.abs(np.random.default_rng(seed).normal(size=grid.n_nodes)) + 1e-3
     pbar = 2.0 + grid.nodes[:, 0]
     norm = lebesgue_norm(u, pbar, grid, region).value
-    mod = lebesgue_modular(u, pbar, grid, region).value
+    mod = lebesgue_modular(u, pbar, grid, region)
     p_lo, p_hi = 2.0, 3.0
     if norm > 1:
         assert mod > 1 - 1e-8
@@ -203,7 +203,7 @@ def test_luxemburg_contract(name, field, unit_grid, unit_region, monkeypatch):
 def test_gagliardo_constant_zero(unit_grid, unit_region):
     mod = gagliardo_modular(np.ones(unit_grid.n_nodes), constant_field(2.0), 0.25,
                             unit_grid, unit_region)
-    assert mod.value == 0.0
+    assert mod == 0.0
 
 
 def test_gagliardo_closed_form(unit_grid, unit_region):
@@ -211,7 +211,7 @@ def test_gagliardo_closed_form(unit_grid, unit_region):
     # |x - y|^(1 - 2s) equals 2/((2 - 2s)(3 - 2s)) = 8/15
     mod = gagliardo_modular(unit_grid.nodes[:, 0].copy(), constant_field(2.0), 0.25,
                             unit_grid, unit_region)
-    assert mod.value == pytest.approx(8.0 / 15.0, rel=1e-2)
+    assert mod == pytest.approx(8.0 / 15.0, rel=1e-2)
 
 
 def test_gagliardo_symmetric_in_regions(unit_grid, rng):
@@ -219,8 +219,8 @@ def test_gagliardo_symmetric_in_regions(unit_grid, rng):
     a = box_mask(unit_grid, 0.0, 0.5)
     b = box_mask(unit_grid, 0.5, 1.0)
     f = radial_field()
-    ab = gagliardo_modular(u, f, 0.5, unit_grid, a, b).value
-    ba = gagliardo_modular(u, f, 0.5, unit_grid, b, a).value
+    ab = gagliardo_modular(u, f, 0.5, unit_grid, a, b)
+    ba = gagliardo_modular(u, f, 0.5, unit_grid, b, a)
     assert ab == pytest.approx(ba, rel=1e-14)
 
 
@@ -241,7 +241,7 @@ def test_seminorm_unit_value_has_unit_modular(unit_grid, unit_region, rng):
     u = rng.normal(size=unit_grid.n_nodes)
     norm = sobolev_seminorm(u, f, 0.5, unit_grid, unit_region)
     mod = gagliardo_modular(u / norm.value, f, 0.5, unit_grid, unit_region)
-    assert mod.value == pytest.approx(1.0, abs=1e-8)
+    assert mod == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("field", [constant_field(2.5), radial_field(), product_field()],
@@ -274,7 +274,7 @@ def test_gagliardo_sandwich(unit_grid, unit_region, rng):
     for _ in range(20):
         u = rng.normal(size=unit_grid.n_nodes) * rng.uniform(0.05, 10.0)
         norm = sobolev_seminorm(u, f, 0.5, unit_grid, unit_region).value
-        mod = gagliardo_modular(u, f, 0.5, unit_grid, unit_region).value
+        mod = gagliardo_modular(u, f, 0.5, unit_grid, unit_region)
         p_lo, p_hi = 1.5, 3.0
         if norm >= 1:
             assert norm**p_lo <= mod * (1 + 1e-8) and mod <= norm**p_hi * (1 + 1e-8)

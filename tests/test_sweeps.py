@@ -20,7 +20,7 @@ from fpxlab.exponents import (
 from fpxlab.grid import ball_mask, build_grid
 from fpxlab.operators import PairKernel, tail
 from fpxlab.regularity import caccioppoli_report, sup_bound_check
-from fpxlab.solve import SolveConfig, minimize
+from fpxlab.solve import exterior_data, minimize
 from fpxlab.spaces import region_pair_terms, sobolev_seminorm
 
 from conftest import dense_kernel
@@ -198,12 +198,11 @@ def test_solve_working_memory_is_one_kernel():
     kernel kept alive, or a pair-sized temporary in the energy, the gradient
     or the matrix assembly, shows as tens of bytes per pair above the limit.
     """
-    cfg = SolveConfig(s=0.5, sigma=0.25, q=1.5, nodes_per_axis=401, r_trunc=4.0,
-                      field_kind="radial", exterior="sine:1")
-    grid, block = cfg.build_grid(), 1024
+    grid, field, block = build_grid(1, 0.0, 1.0, 4.0, 401), radial_field(), 1024
+    g = exterior_data("sine:1", grid)
     with mock.patch.object(exponents, "_BLOCK_PAIRS", block):
-        n_pairs = len(PairKernel(grid, cfg.build_field(), cfg.s).i)
-        _, peak, _ = traced(lambda: minimize(cfg, grid=grid))
+        n_pairs = len(PairKernel(grid, field, 0.5).i)
+        _, peak, _ = traced(lambda: minimize(grid, field, 0.5, g, 1e-8, 50_000))
     n_int = int(np.count_nonzero(grid.interior))
     assert n_pairs > 16 * block
     assert peak <= 32 * n_pairs + 16 * block * 8 + 64 * grid.n_nodes + 16 * n_int**2

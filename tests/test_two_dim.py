@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from fpxlab.exponents import constant_field, radial_field
 from fpxlab.grid import ball_mask, build_grid
 from fpxlab.operators import PairKernel, tail
 from fpxlab.regularity import caccioppoli_report, holder_exponent_fit, sublevel_energy_check
-from fpxlab.solve import SolveConfig, comparison_check, exterior_data, minimize
+from fpxlab.solve import comparison_check, exterior_data, minimize
 
 
 @pytest.fixture(scope="module")
@@ -19,13 +20,10 @@ def plane_grid():
 
 @pytest.fixture(scope="module")
 def plane_solution(plane_grid):
-    cfg = SolveConfig(s=0.5, sigma=0.3, q=1.5, dim=2, center=(0.0, 0.0),
-                      halfwidths=(1.0, 1.0), r_trunc=3.0, nodes_per_axis=25,
-                      field_kind="constant", field_params={"value": 2.0},
-                      exterior="random:1.0", grad_tol=1e-8, seed=5)
+    cfg = types.SimpleNamespace(s=0.5, sigma=0.3, q=1.5)
     field = constant_field(2.0)
     g = 3.0 + exterior_data("random:1.0", plane_grid, 5)
-    result = minimize(cfg, grid=plane_grid, field=field, g=g)
+    result = minimize(plane_grid, field, cfg.s, g, 1e-8, 50_000)
     return cfg, field, g, result
 
 
@@ -37,7 +35,7 @@ def test_anisotropic_domain_measure():
 
 def test_2d_max_principle(plane_grid, plane_solution):
     _, _, g, result = plane_solution
-    rep = comparison_check(result.u, plane_grid, g, tol=1e-8)
+    rep = comparison_check(result.u, plane_grid, g)
     assert rep.passed, f"excess {rep.excess:.2e}"
 
 
